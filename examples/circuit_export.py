@@ -33,13 +33,8 @@ def main() -> None:
     circuit = build_matmul_circuit(2, bit_width=2, depth_parameter=1)
     original = circuit.circuit
 
-    deduped, dedup_map = deduplicate_gates(original)
-    pruned, prune_map = eliminate_dead_gates(deduped)
-    # Composite mapping from original node ids to ids in the final circuit
-    # (defined for every node the declared outputs depend on).
-    node_map = {
-        old: prune_map[new] for old, new in dedup_map.items() if new in prune_map
-    }
+    deduped, _ = deduplicate_gates(original)
+    pruned, _ = eliminate_dead_gates(deduped)
 
     rows = [
         {"stage": "as constructed", "gates": original.size, "edges": original.edges},
@@ -63,23 +58,14 @@ def main() -> None:
 
     # The reloaded, optimized circuit still computes the right product.  The
     # engine picks a backend from the circuit's stats and caches the program.
+    # Optimization keeps the declared outputs in order, so the construction's
+    # decode plan (product entry -> output rows) reads the new circuit too.
     engine = default_engine()
     a = rng.integers(-3, 4, (2, 2))
     b = rng.integers(-3, 4, (2, 2))
-    inputs = circuit._encode_inputs(a, b)
-    node_values = engine.evaluate(restored, inputs).node_values
+    outputs = engine.evaluate(restored, circuit.encode_pairs([(a, b)])).outputs
     print(f"  engine backend: {engine.compile(restored).backend_name}")
-    product = np.empty((2, 2), dtype=object)
-    for i in range(2):
-        for j in range(2):
-            entry = circuit.entries[i, j]
-            product[i, j] = sum(
-                (1 << pos) * int(node_values[node_map[node]])
-                for pos, node in zip(entry.pos.bit_positions, entry.pos.bit_nodes)
-            ) - sum(
-                (1 << pos) * int(node_values[node_map[node]])
-                for pos, node in zip(entry.neg.bit_positions, entry.neg.bit_nodes)
-            )
+    (product,) = circuit.decode_outputs(outputs)
     print("  reloaded circuit computes A @ B correctly:", (product == a @ b).all())
 
 

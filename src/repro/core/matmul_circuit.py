@@ -16,7 +16,7 @@ positive and negative parts of every entry of ``C = AB``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,10 +33,10 @@ from repro.core.recombine import build_product_tree
 from repro.core.schedule import LevelSchedule, schedule_for
 from repro.fastmm.bilinear import BilinearAlgorithm
 from repro.fastmm.strassen import strassen_2x2
-from repro.util.encoding import MatrixEncoding
+from repro.util.encoding import MatrixEncoding, stack_matrices
 from repro.util.matrices import as_exact_array
 
-__all__ = ["MatmulCircuit", "assemble_matmul_circuit", "build_matmul_circuit"]
+__all__ = ["DecodePlan", "MatmulCircuit", "assemble_matmul_circuit", "build_matmul_circuit"]
 
 
 def assemble_matmul_circuit(
@@ -92,6 +92,64 @@ def assemble_matmul_circuit(
     return encoding_a, encoding_b, entries
 
 
+class DecodePlan:
+    """How to read every product entry off a circuit's output rows.
+
+    Entry ``e`` (row-major over the ``n x n`` product) is the sum of
+    ``weights[t] * outputs[rows[t]]`` over its segment ``t`` of the term
+    arrays, with ``weights`` the signed bit weights ``+-2**position`` of its
+    positive and negative parts.  :meth:`decode` turns a whole
+    ``(n_outputs, batch)`` output block into entry values with one gather
+    and one segment sum; it never reads internal node values.
+
+    An entry's ``sum(|weights|)`` bounds every partial sum of its 0/1
+    outputs, so the plan certifies the narrowest integer type holding the
+    largest such bound and runs the sums in it: int64 only while no entry's
+    bound reaches ``2**63``, Python ints past that.
+    """
+
+    def __init__(self, entries: np.ndarray, outputs: Sequence[int]):
+        row_of = {int(node): row for row, node in enumerate(outputs)}
+        rows: List[int] = []
+        weights: List[int] = []
+        counts: List[int] = []
+        bound = 0
+        for entry in entries.flat:
+            terms = [
+                (node, sign << position)
+                for sign, part in ((1, entry.pos), (-1, entry.neg))
+                for position, node in zip(part.bit_positions, part.bit_nodes)
+            ]
+            try:
+                rows.extend(row_of[node] for node, _ in terms)
+            except KeyError as missing:
+                raise ValueError(
+                    f"product bit node {missing.args[0]} is not a circuit output"
+                ) from None
+            weights.extend(weight for _, weight in terms)
+            counts.append(len(terms))
+            bound = max(bound, sum(abs(weight) for _, weight in terms))
+        self.shape = entries.shape
+        self.rows = np.asarray(rows, dtype=np.int64)
+        # -bound - 1 fits exactly when +-bound does; past int64 this is object.
+        self.weights = np.array(weights, dtype=np.min_scalar_type(-bound - 1))
+        counts_arr = np.asarray(counts, dtype=np.int64)
+        self.nonempty = counts_arr > 0
+        self.starts = (np.cumsum(counts_arr) - counts_arr)[self.nonempty]
+
+    def decode(self, outputs: np.ndarray) -> np.ndarray:
+        """Entry values of an ``(n_outputs, batch)`` 0/1 output block.
+
+        Returns an ``(n_entries, batch)`` array in the certified type of
+        ``weights`` (object, i.e. Python ints, past int64).
+        """
+        dtype = self.weights.dtype
+        terms = outputs[self.rows] * self.weights[:, None]
+        sums = np.zeros((len(self.nonempty), outputs.shape[1]), dtype=dtype)
+        sums[self.nonempty] = np.add.reduceat(terms, self.starts, axis=0, dtype=dtype)
+        return sums
+
+
 @dataclass
 class MatmulCircuit:
     """A constructed matrix-product circuit plus its decoding metadata."""
@@ -107,6 +165,11 @@ class MatmulCircuit:
     stages: int = 1
     engine: Optional[object] = field(default=None, repr=False)
     _compiled: Optional[CompiledCircuit] = field(default=None, repr=False)
+    # The decode plan, with the circuit it was built for: a copy made by
+    # ``dataclasses.replace`` or a reassigned ``circuit`` gets a fresh one.
+    _decoder: Optional[Tuple[ThresholdCircuit, DecodePlan]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def compiled(self) -> CompiledCircuit:
@@ -130,20 +193,36 @@ class MatmulCircuit:
         """
         return self._engine().compile(self.circuit, backend=backend)
 
-    def _encode_inputs(self, a, b) -> np.ndarray:
-        vec = np.zeros(self.circuit.n_inputs, dtype=np.int8)
-        a_vec = self.encoding_a.encode(a)
-        b_vec = self.encoding_b.encode(b)
-        vec[self.encoding_a.offset : self.encoding_a.offset + a_vec.shape[0]] = a_vec
-        vec[self.encoding_b.offset : self.encoding_b.offset + b_vec.shape[0]] = b_vec
-        return vec
+    @property
+    def decode_plan(self) -> DecodePlan:
+        """The :class:`DecodePlan` of this construction, built on first use."""
+        if self._decoder is None or self._decoder[0] is not self.circuit:
+            self._decoder = (self.circuit, DecodePlan(self.entries, self.circuit.outputs))
+        return self._decoder[1]
 
-    def _decode_product(self, node_values: np.ndarray) -> np.ndarray:
-        out = np.empty((self.n, self.n), dtype=object)
-        for i in range(self.n):
-            for j in range(self.n):
-                out[i, j] = self.entries[i, j].value(node_values)
-        return out
+    def encode_pairs(self, pairs) -> np.ndarray:
+        """Encode ``(a, b)`` matrix pairs as one ``(n_inputs, batch)`` int8 block.
+
+        Column ``k`` carries pair ``k``: A on ``encoding_a``'s wires and B on
+        ``encoding_b``'s, each side encoded in one array pass.
+        """
+        pairs = list(pairs)
+        block = np.zeros((self.circuit.n_inputs, len(pairs)), dtype=np.int8)
+        for side, encoding in enumerate((self.encoding_a, self.encoding_b)):
+            stacked = stack_matrices([pair[side] for pair in pairs], self.n)
+            block[encoding.offset : encoding.offset + encoding.total_wires] = (
+                encoding.encode(stacked)
+            )
+        return block
+
+    def decode_outputs(self, outputs: np.ndarray) -> List[np.ndarray]:
+        """Products from an ``(n_outputs, batch)`` block of output rows.
+
+        Returns one ``(n, n)`` object array of Python ints per column.
+        """
+        plan = self.decode_plan
+        sums = plan.decode(outputs).astype(object)
+        return list(sums.T.reshape((outputs.shape[1],) + plan.shape))
 
     def evaluate(self, a, b) -> np.ndarray:
         """Compute ``A @ B`` with the threshold circuit (exact integers).
@@ -152,9 +231,7 @@ class MatmulCircuit:
         the process-wide default), so repeated products on the same
         construction share one compiled program.
         """
-        inputs = self._encode_inputs(a, b)
-        result = self._engine().evaluate(self.circuit, inputs)
-        return self._decode_product(result.node_values)
+        return self.evaluate_batch([(a, b)])[0]
 
     def evaluate_batch(self, pairs) -> List[np.ndarray]:
         """Compute many products ``A_k @ B_k`` with one batched evaluation.
@@ -164,38 +241,23 @@ class MatmulCircuit:
         so wide query streams ride the batch scheduler (and, when the engine
         is configured with workers, the persistent evaluation service).
         """
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        batch = np.stack([self._encode_inputs(a, b) for a, b in pairs], axis=1)
-        result = self._engine().evaluate(self.circuit, batch)
-        return [
-            self._decode_product(result.node_values[:, k])
-            for k in range(len(pairs))
-        ]
+        result = self._engine().evaluate(self.circuit, self.encode_pairs(pairs))
+        return self.decode_outputs(result.outputs)
 
     def submit_batch(self, pairs):
         """Asynchronous :meth:`evaluate_batch`: a future of the product list.
 
         Rides :meth:`Engine.submit`, so independent constructions can keep
         the persistent service's workers busy while this batch is in flight.
-        The per-entry product decode (a Python pass over all ``n*n`` output
-        numbers per pair) runs on the shared transform executor, not on the
+        The product decode runs on the shared transform executor, not on the
         service dispatcher thread that completes the inner future.
         """
         from repro.engine.service import chain_future, transform_executor
 
-        pairs = list(pairs)
-        batch = np.stack(
-            [self._encode_inputs(a, b) for a, b in pairs], axis=1
-        ) if pairs else np.zeros((self.circuit.n_inputs, 0), dtype=np.int8)
-        inner = self._engine().submit(self.circuit, batch)
+        inner = self._engine().submit(self.circuit, self.encode_pairs(pairs))
         return chain_future(
             inner,
-            lambda result: [
-                self._decode_product(result.node_values[:, k])
-                for k in range(len(pairs))
-            ],
+            lambda result: self.decode_outputs(result.outputs),
             executor=transform_executor(),
         )
 

@@ -71,9 +71,10 @@ class NaiveTriangleCircuit:
         adjacency = np.asarray(adjacency)
         if adjacency.shape != (self.n, self.n):
             raise ValueError(f"expected a {self.n}x{self.n} adjacency matrix")
+        pairs = np.array(list(self.edge_index), dtype=np.int64).reshape(-1, 2)
+        wires = np.fromiter(self.edge_index.values(), dtype=np.int64, count=len(pairs))
         vec = np.zeros(self.circuit.n_inputs, dtype=np.int8)
-        for (i, j), wire in self.edge_index.items():
-            vec[wire] = 1 if adjacency[i, j] else 0
+        vec[wires] = adjacency[pairs[:, 0], pairs[:, 1]] != 0
         return vec
 
     def evaluate(self, adjacency) -> bool:

@@ -39,7 +39,7 @@ from repro.core.schedule import LevelSchedule, schedule_for
 from repro.fastmm.bilinear import BilinearAlgorithm
 from repro.fastmm.strassen import strassen_2x2
 from repro.util.bits import bits
-from repro.util.encoding import MatrixEncoding
+from repro.util.encoding import MatrixEncoding, stack_matrices
 from repro.util.matrices import as_exact_array
 
 __all__ = ["TraceCircuit", "assemble_trace_circuit", "build_trace_circuit", "default_bit_width"]
@@ -153,23 +153,22 @@ class TraceCircuit:
         """
         return self._engine().compile(self.circuit, backend=backend)
 
+    def _encode(self, matrices) -> np.ndarray:
+        """One ``(n_inputs, batch)`` input block for a sequence of matrices."""
+        return self.encoding.encode(stack_matrices(matrices, self.n))
+
     def evaluate(self, matrix) -> bool:
         """Run the circuit on an integer matrix and return its decision."""
-        inputs = self.encoding.encode(matrix)
-        result = self._engine().evaluate(self.circuit, inputs)
-        return bool(np.atleast_1d(result.outputs)[0])
+        return bool(self.evaluate_batch([matrix])[0])
 
     def evaluate_batch(self, matrices) -> np.ndarray:
         """Vectorized evaluation of several matrices at once.
 
-        An empty batch is a no-op returning an empty decision vector (the
-        scheduler handles zero-width blocks, but there is nothing to encode).
+        ``matrices`` is a sequence of ``n x n`` matrices or a
+        ``(batch, n, n)`` stack; an empty batch gives an empty decision
+        vector.
         """
-        matrices = list(matrices)
-        if not matrices:
-            return np.zeros(0, dtype=bool)
-        batch = np.stack([self.encoding.encode(m) for m in matrices], axis=1)
-        result = self._engine().evaluate(self.circuit, batch)
+        result = self._engine().evaluate(self.circuit, self._encode(matrices))
         return result.outputs[0].astype(bool)
 
     def submit_batch(self, matrices):
@@ -177,21 +176,12 @@ class TraceCircuit:
 
         Dispatches through :meth:`Engine.submit`, so on an engine configured
         with workers the batch pipelines through the persistent evaluation
-        service alongside other in-flight queries; serial engines complete
-        the future inline.  An empty batch resolves immediately.
+        service alongside other in-flight queries; serial engines (and empty
+        batches) complete the future inline.
         """
-        from concurrent.futures import Future
-
         from repro.engine.service import chain_future
 
-        matrices = list(matrices)
-        if not matrices:
-            future: Future = Future()
-            future.set_running_or_notify_cancel()
-            future.set_result(np.zeros(0, dtype=bool))
-            return future
-        batch = np.stack([self.encoding.encode(m) for m in matrices], axis=1)
-        inner = self._engine().submit(self.circuit, batch)
+        inner = self._engine().submit(self.circuit, self._encode(matrices))
         return chain_future(inner, lambda result: result.outputs[0].astype(bool))
 
     @staticmethod

@@ -192,9 +192,9 @@ _TRANSFORM_LOCK = threading.Lock()
 def transform_executor() -> ThreadPoolExecutor:
     """Shared single-thread executor for expensive future transforms.
 
-    Driver-level decodes (e.g. reconstructing matmul products from node
-    values, a Python-level pass over every output entry) run here so they
-    never stall the service dispatcher thread that completes futures.
+    Driver-level decodes (e.g. reconstructing matmul products from the
+    output rows) run here so they never stall the service dispatcher thread
+    that completes futures.
     """
     global _TRANSFORM_EXECUTOR
     with _TRANSFORM_LOCK:

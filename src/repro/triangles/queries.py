@@ -40,28 +40,29 @@ class TriangleQuery:
     tau_triangles: int
     original_n: int
 
-    def _pad_to_circuit(self, adjacency) -> np.ndarray:
-        adj = validate_adjacency(adjacency)
-        padded, _ = pad_adjacency(adj, self.trace_circuit.algorithm.t)
-        if padded.shape[0] != self.trace_circuit.n:
-            target = self.trace_circuit.n
-            if padded.shape[0] > target:
-                raise ValueError(
-                    f"graph has {padded.shape[0]} (padded) vertices; circuit supports {target}"
-                )
-            grown = np.zeros((target, target), dtype=np.int64)
-            grown[: padded.shape[0], : padded.shape[0]] = padded
-            padded = grown
-        return padded
+    def _padded_stack(self, adjacencies) -> np.ndarray:
+        """Validate graphs and zero-pad them into one ``(batch, n, n)`` block.
+
+        Padding with isolated vertices changes no triangle count, so each
+        graph sits in the top-left corner of the circuit's matrix.
+        """
+        target = self.trace_circuit.n
+        graphs = [validate_adjacency(adjacency) for adjacency in adjacencies]
+        stack = np.zeros((len(graphs), target, target), dtype=np.int64)
+        for k, adjacency in enumerate(graphs):
+            size = adjacency.shape[0]
+            if size > target:
+                raise ValueError(f"graph has {size} vertices; circuit supports {target}")
+            stack[k, :size, :size] = adjacency
+        return stack
 
     def evaluate(self, adjacency) -> bool:
         """Answer the query for a graph on at most ``trace_circuit.n`` vertices."""
-        return self.trace_circuit.evaluate(self._pad_to_circuit(adjacency))
+        return bool(self.evaluate_batch([adjacency])[0])
 
     def evaluate_batch(self, adjacencies) -> np.ndarray:
         """Answer the query for many graphs with one batched evaluation."""
-        padded = [self._pad_to_circuit(adjacency) for adjacency in adjacencies]
-        return self.trace_circuit.evaluate_batch(padded)
+        return self.trace_circuit.evaluate_batch(self._padded_stack(adjacencies))
 
     def submit_batch(self, adjacencies):
         """Asynchronous :meth:`evaluate_batch`: a future of the answers.
@@ -70,8 +71,7 @@ class TriangleQuery:
         evaluation service when one is configured (see
         :meth:`repro.core.trace_circuit.TraceCircuit.submit_batch`).
         """
-        padded = [self._pad_to_circuit(adjacency) for adjacency in adjacencies]
-        return self.trace_circuit.submit_batch(padded)
+        return self.trace_circuit.submit_batch(self._padded_stack(adjacencies))
 
     def reference(self, adjacency) -> bool:
         """Exact answer used for validation."""

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import faulthandler
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,34 @@ from repro.fastmm import naive_algorithm, strassen_2x2, winograd_2x2
 settings.register_profile("ci", derandomize=True, print_blob=True)
 if os.environ.get("HYPOTHESIS_PROFILE"):
     settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
+
+#: Seconds any one test may run.  Past it every thread's stack is printed and
+#: the run exits with status 1, so a hung test fails with a traceback instead
+#: of stalling until the CI job times out.  The slowest test takes about 70 s.
+TEST_TIME_LIMIT_S = 600
+
+_STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # Output capture is off while plugins configure; a copy of the real
+    # stderr taken now still reaches the terminal from inside a captured
+    # test, where writes to fd 2 would land in the capture file and be lost.
+    config.stash[_STDERR_FD] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR_FD])
+
+
+@pytest.fixture(autouse=True)
+def _test_time_limit(request):
+    """Arm the per-test time limit; cancel it when the test ends."""
+    faulthandler.dump_traceback_later(
+        TEST_TIME_LIMIT_S, exit=True, file=request.config.stash[_STDERR_FD]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -66,7 +66,7 @@ class TestMatmulPipeline:
 
         deduped, node_map = deduplicate_gates(original.circuit)
         compiled = CompiledCircuit(deduped)
-        inputs = original._encode_inputs(a, b)
+        inputs = original.encode_pairs([(a, b)])[:, 0]
         node_values = compiled.evaluate(inputs).node_values
         for i in range(n):
             for j in range(n):
@@ -87,7 +87,7 @@ class TestMatmulPipeline:
         assert pruned.size <= original.circuit.size
         a = random_integer_matrix(n, 1, rng=rng)
         b = random_integer_matrix(n, 1, rng=rng)
-        inputs = original._encode_inputs(a, b)
+        inputs = original.encode_pairs([(a, b)])[:, 0]
         node_values = CompiledCircuit(pruned).evaluate(inputs).node_values
         expected = a.astype(object) @ b.astype(object)
         for i in range(n):
