@@ -1,25 +1,26 @@
 """E17 — Template-streaming compilation: skip the compile-time CSR re-gather.
 
-PR 2/3 made *construction* array-native (~30x over the seed), which left the
-engine's compile step — re-reading the consolidated CSR, gathering every
-wire into depth layers, and building per-layer sparse matrices — as the
-dominant slice of end-to-end latency.  The template-streaming path compiles
-one layer plan per stamped gadget template and tiles it across the stamps,
-so compile cost scales with the number of *distinct templates* plus the
-residual (non-stamped) gates instead of with the full wire count.
+Compiling a circuit without provenance re-reads the consolidated CSR,
+gathers every wire into depth layers and builds one sparse matrix per
+layer.  With provenance, the compile builds one layer plan per stamped
+gadget template and tiles it across the stamps, so compile cost scales with
+the number of *distinct templates* plus the residual (non-stamped) gates
+instead of with the full wire count.
 
 For each case the same circuit is compiled twice on fresh engines — once
-through the template path (``template_compile=True``, the default) and once
-through the classic CSR path (``template_compile=False``) — with the
+with its provenance and once as a stripped copy (``template_blocks = []``:
+same store, same structural hash, every gate a residual run) — with the
 structural hash pre-warmed so both sides time exactly the backend compile.
 Both programs must be bit-identical on a probe batch; the headline case
-(naive matmul n = 64) must compile at least 3x faster.
+(naive matmul n = 64) must compile at least 3x faster.  The JSON keeps the
+historical column names: ``csr_s`` is the stripped side.
 
 Rows follow the bench_e* convention and are written to ``BENCH_e17.json``
 at the repository root (uploaded by CI alongside e15/e16).  Set
 ``E17_QUICK=1`` for the CI-sized quick mode.
 """
 
+import copy
 import json
 import os
 import time
@@ -53,13 +54,12 @@ def _compile_case(name, build, required, rounds=2, backend="sparse"):
     built = build()
     circuit = built.circuit
     circuit.structural_hash()  # warm the hash cache: both sides skip it
+    stripped = copy.copy(circuit)  # shares the store and the cached hash
+    stripped.template_blocks = []
     covered = sum(block.k * block.n_gates for block in circuit.template_blocks)
-    template_prog, template_s = _best_compile(
-        circuit, EngineConfig(backend=backend, template_compile=True), rounds
-    )
-    csr_prog, csr_s = _best_compile(
-        circuit, EngineConfig(backend=backend, template_compile=False), rounds
-    )
+    config = EngineConfig(backend=backend)
+    template_prog, template_s = _best_compile(circuit, config, rounds)
+    csr_prog, csr_s = _best_compile(stripped, config, rounds)
     rng = np.random.default_rng(17)
     probe = rng.integers(0, 2, size=(circuit.n_inputs, 2)).astype(np.int64)
     bit_identical = bool(
@@ -117,7 +117,7 @@ def test_e17_template_streaming_compile(benchmark):
         return [_compile_case(name, build, required) for name, build, required in cases]
 
     rows = benchmark.pedantic(compute_rows, rounds=1, iterations=1)
-    report("E17: template-streaming compile vs consolidated-CSR compile", rows)
+    report("E17: template-streaming compile vs provenance-stripped compile", rows)
     BENCH_JSON.write_text(
         json.dumps({"experiment": "E17", "quick": QUICK, "rows": rows}, indent=2)
     )

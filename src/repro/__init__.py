@@ -28,7 +28,6 @@ _LAZY_EXPORTS: Dict[str, str] = {
     # circuit substrate
     "ThresholdCircuit": "repro.circuits",
     "CircuitBuilder": "repro.circuits",
-    "CompiledCircuit": "repro.circuits",
     "simulate": "repro.circuits",
     # execution engine
     "Engine": "repro.engine",

@@ -10,12 +10,12 @@ the naive baselines (experiment E12).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.circuits.circuit import ThresholdCircuit
-from repro.circuits.simulator import CompiledCircuit
+from repro.circuits.simulator import simulate
 
 __all__ = ["EnergyReport", "measure_circuit_energy"]
 
@@ -50,27 +50,17 @@ class EnergyReport:
 def measure_circuit_energy(
     circuit: ThresholdCircuit,
     input_batches: Sequence[np.ndarray],
-    compiled: Optional[CompiledCircuit] = None,
     engine=None,
 ) -> EnergyReport:
     """Evaluate the circuit on each input vector and summarize firing energy.
 
     Evaluation routes through the execution engine (the process default, or
     ``engine`` if given), so the compile cache is shared with other callers.
-    Passing an explicit ``compiled`` circuit bypasses the engine entirely —
-    kept for callers that manage their own compilation.
     """
     if not input_batches:
         raise ValueError("need at least one input assignment to measure energy")
     batch = np.stack([np.asarray(vec) for vec in input_batches], axis=1)
-    if compiled is not None:
-        result = compiled.evaluate(batch)
-    else:
-        from repro.engine import default_engine
-
-        eng = engine if engine is not None else default_engine()
-        result = eng.evaluate(circuit, batch)
-    energy = np.atleast_1d(result.energy)
+    energy = np.atleast_1d(simulate(circuit, batch, engine=engine).energy)
     return EnergyReport(
         circuit_size=circuit.size,
         samples=int(energy.shape[0]),

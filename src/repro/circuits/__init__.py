@@ -13,7 +13,7 @@ from repro.circuits.store import Columns, GateStore
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.counting import CountingBuilder
 from repro.circuits.template import GadgetStamper, GadgetTemplate, TemplateBuilder
-from repro.circuits.simulator import CompiledCircuit, SimulationResult, simulate
+from repro.circuits.simulator import SimulationResult, simulate
 from repro.circuits.validate import ValidationReport, validate_circuit
 from repro.circuits.analysis import (
     LayerProfile,
@@ -44,7 +44,6 @@ __all__ = [
     "GadgetStamper",
     "GadgetTemplate",
     "TemplateBuilder",
-    "CompiledCircuit",
     "SimulationResult",
     "simulate",
     "ValidationReport",

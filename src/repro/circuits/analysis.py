@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.circuits.circuit import ThresholdCircuit
-from repro.circuits.simulator import CompiledCircuit
+from repro.circuits.simulator import simulate
 
 __all__ = [
     "LayerProfile",
@@ -84,16 +84,11 @@ def tag_breakdown(circuit: ThresholdCircuit) -> Dict[str, int]:
     return dict(Counter(gate.tag or "(untagged)" for gate in circuit.gates))
 
 
-def measure_energy(
-    circuit: ThresholdCircuit,
-    inputs: np.ndarray,
-    compiled: Optional[CompiledCircuit] = None,
-) -> np.ndarray:
+def measure_energy(circuit: ThresholdCircuit, inputs: np.ndarray) -> np.ndarray:
     """Number of firing gates for each input assignment in ``inputs``.
 
     This is the energy model suggested in the paper's open-problems section:
-    a gate is charged one unit if and only if it fires.
+    a gate is charged one unit if and only if it fires.  Evaluates through
+    the default engine.
     """
-    compiled = compiled if compiled is not None else CompiledCircuit(circuit)
-    result = compiled.evaluate(inputs)
-    return np.atleast_1d(result.energy)
+    return np.atleast_1d(simulate(circuit, inputs).energy)

@@ -1,20 +1,20 @@
-"""Vectorized, exact evaluation of threshold circuits.
+"""The one compile plan of the engine, and the one-shot :func:`simulate`.
 
-The simulator compiles a circuit once into per-layer sparse weight matrices
-(scipy CSR) and then evaluates whole *batches* of input assignments with one
-sparse matrix–matrix product per layer — no Python-level loop over gates, as
-recommended by the HPC guides for hot numerical paths.
+The paper's constructions stamp a small set of lemma gadgets thousands of
+times, so most of a circuit's gates are ``k`` translated copies of a
+template whose layer structure is known once.  :func:`build_template_plan`
+lowers every circuit to a :class:`TemplatePlan` that keeps that
+factorization: the circuit's validated template blocks (one local layer
+plan per template, tiled across the stamps at evaluation time) interleaved
+with *residual* runs, the gates emitted outside any stamp, grouped by depth.
+A circuit without usable provenance lowers to residual runs only.  Every
+engine backend compiles this one plan.
 
-Exactness: weights and partial sums are integers.  The compiler computes, for
-every gate, the worst-case magnitude of its weighted sum; if every gate fits
-comfortably in int64 the fast sparse path is used, otherwise evaluation falls
-back to an arbitrary-precision gate-by-gate path so results are always exact.
-
-The layer extraction and the overflow analysis are shared with the execution
-engine (:mod:`repro.engine`) through :class:`LayerPlan` /
-:func:`build_layer_plan`: the plan holds the exact integer weights of every
-depth layer plus a single safety verdict, and each backend materializes the
-matrices in its own storage format from it.  :func:`simulate` routes through
+Exactness: weights and partial sums are integers.  The plan carries the
+exact worst-case magnitude over all gates of the weighted sum plus
+threshold (:func:`~repro.circuits.store.csr_max_magnitude`, exact beyond
+int64 too), and one whole-circuit ``int64_safe`` verdict decides whether
+machine-dtype backends may run it at all.  :func:`simulate` routes through
 the default engine, so one-shot callers get the compile cache and backend
 auto-selection for free.
 """
@@ -22,23 +22,18 @@ auto-selection for free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.circuits.circuit import ThresholdCircuit
 from repro.circuits.store import csr_max_magnitude, iter_depth_layers
 
 __all__ = [
-    "CompiledCircuit",
-    "LayerPlan",
-    "LayerSpec",
     "ResidualLayer",
     "ResidualSegment",
     "SimulationResult",
     "TemplatePlan",
-    "build_layer_plan",
     "build_template_plan",
     "simulate",
 ]
@@ -47,202 +42,12 @@ _INT64_SAFE_LIMIT = 1 << 62
 
 
 @dataclass
-class LayerSpec:
-    """One depth layer of a circuit in COO-like exact-integer form.
-
-    ``rows``/``cols``/``data`` describe the wires of the layer: gate ``rows[i]``
-    (an index within the layer) reads node ``cols[i]`` with weight ``data[i]``.
-    On the fast path all fields are int64 arrays, sliced straight out of the
-    circuit's columnar store; when the circuit's weights overflow int64 the
-    exact fallback keeps ``rows``/``data``/``thresholds`` as Python-int lists
-    so the plan stays exact.  ``cols`` is always an int64 array because every
-    consumer (matrix builders, the spiking evaluator) indexes with it.
-    """
-
-    depth: int
-    nodes: np.ndarray  # gate node ids of this layer, int64
-    rows: Sequence[int]  # int64 array on the fast path
-    cols: np.ndarray  # source node id per wire, int64
-    data: Sequence[int]  # int64 array on the fast path, Python ints otherwise
-    thresholds: Sequence[int]  # likewise
-
-    @property
-    def n_gates(self) -> int:
-        return len(self.thresholds)
-
-
-def csr_layer_matrix(spec: LayerSpec, n_nodes: int) -> sparse.csr_matrix:
-    """The ``(n_gates, n_nodes)`` CSR weight matrix of one int64-safe layer.
-
-    Shared by :class:`CompiledCircuit` and the engine's sparse backend so the
-    sparse lowering exists exactly once.
-    """
-    return sparse.csr_matrix(
-        (
-            np.asarray(spec.data, dtype=np.int64),
-            (np.asarray(spec.rows, dtype=np.int64), spec.cols),
-        ),
-        shape=(spec.n_gates, n_nodes),
-    )
-
-
-@dataclass
-class LayerPlan:
-    """A circuit lowered to per-layer wire lists plus one overflow verdict.
-
-    ``max_magnitude`` is the exact worst case, over all gates, of the
-    magnitude of the weighted sum plus threshold; backends derive their
-    safety margins from it.  ``int64_safe`` is decided for the *whole*
-    circuit before any backend builds a matrix: either every layer is
-    materialized in a machine dtype, or none is.  (The old compiler flipped
-    the flag mid-compile and left earlier layers holding sparse matrices
-    that were never used.)
-    """
-
-    n_inputs: int
-    n_nodes: int
-    int64_safe: bool
-    max_magnitude: int
-    layers: List[LayerSpec]
-
-    @property
-    def float64_exact(self) -> bool:
-        """True when every weighted sum is exactly representable in float64.
-
-        Lets the dense backend run on BLAS (float matmul) without losing a
-        single bit: all intermediate sums stay below ``2**53``.
-        """
-        return self.max_magnitude < (1 << 53)
-
-
-def build_layer_plan(circuit: ThresholdCircuit) -> LayerPlan:
-    """Lower a circuit into :class:`LayerSpec` rows and decide int64 safety.
-
-    A circuit is int64-safe when, for every gate, the worst-case magnitude of
-    its weighted sum plus its threshold stays comfortably below ``2**63``.
-    The fast path slices each depth layer out of the circuit's columnar
-    arrays with pure numpy gathers; the safety verdict comes from the shared
-    :func:`~repro.circuits.store.csr_max_magnitude` rule (float64-certified
-    int64 arithmetic, exact Python-int fallback near the boundary), and a
-    circuit whose weights already left int64 is planned gatewise on exact
-    Python ints, so huge weights can never silently wrap.
-    """
-    cols_store = circuit.columnar()
-    if not cols_store.int64_ok:
-        return _build_layer_plan_gatewise(circuit)
-
-    sources = cols_store.sources
-    weights = cols_store.weights
-    offsets = cols_store.offsets
-    thresholds = cols_store.thresholds
-    n_gates = cols_store.n_gates
-
-    if n_gates == 0:
-        return LayerPlan(
-            n_inputs=circuit.n_inputs,
-            n_nodes=circuit.n_nodes,
-            int64_safe=True,
-            max_magnitude=0,
-            layers=[],
-        )
-
-    # Overflow analysis: the one exact rule in store.csr_max_magnitude
-    # (float64-certified int64 fast lane, exact Python-int fallback near the
-    # boundary), shared with the template compiler so both plan forms derive
-    # identical safety verdicts.
-    max_magnitude = csr_max_magnitude(weights, offsets, thresholds, True)
-
-    specs: List[LayerSpec] = []
-    for depth, gate_idx, wire_idx, layer_fan in iter_depth_layers(
-        circuit.gate_depths(), offsets
-    ):
-        # gate_idx is in ascending node order within the layer; wire_idx
-        # gathers each gate's offsets[g] .. offsets[g+1] range in that order.
-        rows = np.repeat(np.arange(len(gate_idx), dtype=np.int64), layer_fan)
-        specs.append(
-            LayerSpec(
-                depth=depth,
-                nodes=gate_idx + circuit.n_inputs,
-                rows=rows,
-                cols=sources[wire_idx],
-                data=weights[wire_idx],
-                thresholds=thresholds[gate_idx],
-            )
-        )
-    return LayerPlan(
-        n_inputs=circuit.n_inputs,
-        n_nodes=circuit.n_nodes,
-        int64_safe=max_magnitude < _INT64_SAFE_LIMIT,
-        max_magnitude=max_magnitude,
-        layers=specs,
-    )
-
-
-def _build_layer_plan_gatewise(circuit: ThresholdCircuit) -> LayerPlan:
-    """Exact per-gate planning for circuits beyond the int64 fast path."""
-    layers_by_depth = circuit.gates_by_depth()
-    specs: List[LayerSpec] = []
-    max_magnitude = 0
-    for depth in sorted(layers_by_depth):
-        gate_nodes = layers_by_depth[depth]
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[int] = []
-        thresholds: List[int] = []
-        for row, node in enumerate(gate_nodes):
-            gate = circuit.gate_of(node)
-            rows.extend([row] * gate.fan_in)
-            cols.extend(gate.sources)
-            data.extend(gate.weights)
-            thresholds.append(gate.threshold)
-        magnitudes = [0] * len(gate_nodes)
-        for row, weight in zip(rows, data):
-            magnitudes[row] += abs(weight)
-        for magnitude, threshold in zip(magnitudes, thresholds):
-            total = magnitude + abs(threshold)
-            if total > max_magnitude:
-                max_magnitude = total
-        specs.append(
-            LayerSpec(
-                depth=depth,
-                nodes=np.asarray(gate_nodes, dtype=np.int64),
-                rows=rows,
-                cols=np.asarray(cols, dtype=np.int64),
-                data=data,
-                thresholds=thresholds,
-            )
-        )
-    return LayerPlan(
-        n_inputs=circuit.n_inputs,
-        n_nodes=circuit.n_nodes,
-        int64_safe=max_magnitude < _INT64_SAFE_LIMIT,
-        max_magnitude=max_magnitude,
-        layers=specs,
-    )
-
-
-# --------------------------------------------------------------------------
-# Template-streaming compilation: the paper's constructions stamp a small set
-# of lemma gadgets thousands of times, so most of a circuit's gates are k
-# translated copies of a template whose layer structure is known once.  A
-# TemplatePlan keeps that factorization: one compiled layer plan per
-# template (local CSR over parameter slots + local gates) plus the per-stamp
-# parameter rows, and thin "residual" segments for the gates that were
-# emitted outside any stamp.  Backends tile the template layers across the
-# stamps at evaluation time, so compiling skips the consolidated-CSR
-# re-gather (and the per-layer sparse-matrix builds) of build_layer_plan
-# entirely.
-# --------------------------------------------------------------------------
-
-
-@dataclass
 class ResidualLayer:
-    """One depth layer of a residual (non-stamped) gate run, in COO form.
+    """One depth layer of a residual (non-stamped) gate run, in CSR form.
 
     ``offsets`` are per-gate CSR offsets into ``cols``/``data`` (local to
-    the layer), so backends can evaluate the layer with one gather plus a
-    segment reduction — no per-layer matrix over all ``n_nodes`` columns is
-    ever materialized for these thin runs.
+    the layer), so a backend builds the layer's weight matrix straight from
+    the three arrays and evaluates the layer with one matrix product.
     """
 
     depth: int
@@ -262,17 +67,21 @@ class ResidualSegment:
 
 @dataclass
 class TemplatePlan:
-    """A circuit factorized into template blocks plus residual runs.
+    """A circuit lowered to template blocks plus residual runs.
 
-    Semantically equivalent to the :class:`LayerPlan` of the same circuit
-    (same overflow verdict, bit-identical evaluation on every backend);
-    segments — the circuit's validated
+    Segments — the circuit's validated
     :class:`~repro.circuits.template.TemplateBlock` records interleaved
     with :class:`ResidualSegment` runs — are ordered by node id, which is a
     topological order because gates only ever reference earlier nodes.
     For a template block, copy ``i`` occupies node ids ``base + i *
     n_gates ..`` and the template's relative-depth layers are a valid
-    evaluation order for every copy.
+    evaluation order for every copy.  ``covered_gates`` counts the gates
+    inside template blocks (0 when every gate is residual).
+
+    ``max_magnitude`` is the exact worst case, over all gates, of the
+    magnitude of the weighted sum plus threshold.  ``int64_safe`` is decided
+    for the *whole* circuit: either every segment runs in a machine dtype,
+    or the plan only compiles for the exact backend.
     """
 
     n_inputs: int
@@ -286,12 +95,16 @@ class TemplatePlan:
 
     @property
     def float64_exact(self) -> bool:
-        """Same BLAS-safety rule as :attr:`LayerPlan.float64_exact`."""
+        """True when every weighted sum is exactly representable in float64.
+
+        Lets the dense backend run on BLAS (float matmul) without losing a
+        single bit: all intermediate sums stay below ``2**53``.
+        """
         return self.max_magnitude < (1 << 53)
 
 
 def _residual_segment(circuit, cols, depths, start, stop):
-    """Lower gates ``start:stop`` (a contiguous run) into depth-grouped COO.
+    """Lower gates ``start:stop`` (a contiguous run) into depth-grouped CSR layers.
 
     Returns ``(segment, max_magnitude)``.  Only the run's own wire slice is
     touched — for template-heavy circuits that is a vanishing fraction of
@@ -325,80 +138,82 @@ def _residual_segment(circuit, cols, depths, start, stop):
     return ResidualSegment(layers), magnitude
 
 
-def build_template_plan(
-    circuit: ThresholdCircuit, min_cover: float = 0.0
-) -> Optional[TemplatePlan]:
-    """Factorize a circuit into template blocks + residual runs, if it can.
+def _accepted_blocks(circuit: ThresholdCircuit, min_cover: float) -> list:
+    """The circuit's non-empty template blocks in node order, or ``[]``.
 
-    Returns ``None`` — the caller falls back to :func:`build_layer_plan` —
-    when the circuit carries no template provenance, when the recorded
-    blocks cover less than ``min_cover`` of the gates, or when the records
-    do not tile the gate range consistently (stale or foreign provenance is
-    never trusted over the columnar store).
+    Provenance is never trusted over the columnar store: the blocks are
+    refused as a whole — and every gate becomes residual — when they cover
+    less than ``min_cover`` of the gates, when a parameter row is
+    ill-shaped or reads a node at or past its block, or when the blocks do
+    not tile disjoint ranges of the gate index.
     """
-    blocks = getattr(circuit, "template_blocks", None)
+    blocks = [block for block in circuit.template_blocks if block.k]
     size = circuit.size
-    if not blocks or size == 0:
-        return None
-    compiled_blocks = []
     covered = 0
     for block in blocks:
-        if block.k == 0:
-            continue
         compiled = block.template  # a CompiledTemplate (slim, wire-carrying)
         if compiled is None or compiled.n_gates == 0:
-            return None
+            return []
         params = block.params
-        # Provenance is never trusted over the columnar store: parameter
-        # rows must be well-shaped and reference only nodes preceding the
-        # block, or the whole factorization is refused.
         if (
             params.ndim != 2
             or params.shape[1] != compiled.n_params
             or (params.size and int(params.min()) < 0)
             or (params.size and int(params.max()) >= block.base)
         ):
-            return None
+            return []
         covered += block.k * compiled.n_gates
-        compiled_blocks.append((block, compiled))
-    if covered < min_cover * size:
-        return None
-    compiled_blocks.sort(key=lambda pair: pair[0].base)
+    if not blocks or covered < min_cover * size:
+        return []
+    blocks.sort(key=lambda block: block.base)
+    cursor = 0  # gate index (node id - n_inputs)
+    for block in blocks:
+        first = block.base - circuit.n_inputs
+        if first < cursor or first + block.k * block.n_gates > size:
+            return []  # overlapping or out-of-range provenance
+        cursor = first + block.k * block.n_gates
+    return blocks
 
+
+def build_template_plan(
+    circuit: ThresholdCircuit, min_cover: float = 0.0
+) -> TemplatePlan:
+    """Lower a circuit into template blocks plus residual runs.
+
+    Gates outside the accepted template blocks (see :func:`_accepted_blocks`
+    for when provenance is refused) become residual runs, so a circuit
+    without provenance lowers to one residual segment holding every gate.
+    """
+    blocks = _accepted_blocks(circuit, min_cover)
     n_inputs = circuit.n_inputs
+    size = circuit.size
     depths = circuit.gate_depths()
     cols = circuit.columnar()
     segments: List[object] = []
-    max_magnitude = 0
+    magnitudes = [0]
     cursor = 0  # gate index (node id - n_inputs)
-    for block, compiled in compiled_blocks:
-        first = block.base - n_inputs
-        length = block.k * compiled.n_gates
-        if first < cursor or first + length > size:
-            return None  # overlapping or out-of-range provenance
-        if first > cursor:
-            segment, magnitude = _residual_segment(
-                circuit, cols, depths, cursor, first
-            )
+
+    def add_residual(stop: int) -> None:
+        if stop > cursor:
+            segment, magnitude = _residual_segment(circuit, cols, depths, cursor, stop)
             segments.append(segment)
-            if magnitude > max_magnitude:
-                max_magnitude = magnitude
+            magnitudes.append(magnitude)
+
+    for block in blocks:
+        first = block.base - n_inputs
+        add_residual(first)
         segments.append(block)  # the validated TemplateBlock, as-is
-        if compiled.max_magnitude > max_magnitude:
-            max_magnitude = compiled.max_magnitude
-        cursor = first + length
-    if cursor < size:
-        segment, magnitude = _residual_segment(circuit, cols, depths, cursor, size)
-        segments.append(segment)
-        if magnitude > max_magnitude:
-            max_magnitude = magnitude
+        magnitudes.append(block.template.max_magnitude)
+        cursor = first + block.k * block.n_gates
+    add_residual(size)
+    max_magnitude = max(magnitudes)
     return TemplatePlan(
         n_inputs=n_inputs,
         n_nodes=circuit.n_nodes,
         outputs=list(circuit.outputs),
         int64_safe=max_magnitude < _INT64_SAFE_LIMIT,
         max_magnitude=max_magnitude,
-        covered_gates=covered,
+        covered_gates=sum(block.k * block.n_gates for block in blocks),
         size=size,
         segments=segments,
     )
@@ -433,121 +248,6 @@ class SimulationResult:
     node_values: np.ndarray
     outputs: np.ndarray
     energy: np.ndarray
-
-
-class CompiledCircuit:
-    """A circuit compiled to layered sparse matrices for batched evaluation.
-
-    Circuits carrying template provenance (built through the gadget
-    stamper) compile via the template-streaming path instead: one layer
-    plan per template, tiled across stamps at evaluation time.  Both forms
-    are bit-identical; ``uses_fast_path`` keeps its meaning (int64-safe).
-    ``config`` (an :class:`~repro.engine.config.EngineConfig`) governs the
-    same two template knobs the engine honors — pass
-    ``EngineConfig(template_compile=False)`` to force the classic CSR
-    compile.
-    """
-
-    def __init__(self, circuit: ThresholdCircuit, config=None) -> None:
-        self.circuit = circuit
-        self._layers: List[dict] = []
-        self._int64_safe = True
-        self._template_program = None
-        self._compile(config)
-
-    # ---------------------------------------------------------------- compile
-    def _compile(self, config) -> None:
-        # Deferred imports: the program classes live with the engine
-        # backends (which import this module), mirroring simulate().
-        from repro.engine.backends import SparseBackend, template_plan_for
-
-        template_plan = template_plan_for(self.circuit, config)
-        # int64_safe additionally required here (unlike the engine): this
-        # class's overflow fallback is the per-column evaluate_slow replay,
-        # not the exact backend program.
-        if template_plan is not None and template_plan.int64_safe:
-            self._template_program = SparseBackend().compile_template(template_plan)
-            self._int64_safe = True
-            return
-        plan = build_layer_plan(self.circuit)
-        self._int64_safe = plan.int64_safe
-        for spec in plan.layers:
-            if plan.int64_safe:
-                matrix = csr_layer_matrix(spec, plan.n_nodes)
-                threshold_arr = np.asarray(spec.thresholds, dtype=np.int64)
-            else:
-                # The exact gate-by-gate path never reads the matrices, so an
-                # unsafe circuit keeps none of them (satellite fix: previously
-                # layers compiled before the flag flipped held dead matrices).
-                matrix = None
-                threshold_arr = np.zeros(spec.n_gates, dtype=np.int64)
-            self._layers.append(
-                {
-                    "nodes": spec.nodes,
-                    "matrix": matrix,
-                    "thresholds": threshold_arr,
-                }
-            )
-
-    @property
-    def uses_fast_path(self) -> bool:
-        """True when all gates fit in int64 and the sparse path is active."""
-        return self._int64_safe
-
-    # --------------------------------------------------------------- evaluate
-    def evaluate(self, inputs: np.ndarray) -> SimulationResult:
-        """Evaluate the circuit on one input vector or a batch of them.
-
-        Parameters
-        ----------
-        inputs:
-            Array of shape ``(n_inputs,)`` or ``(n_inputs, batch)`` with 0/1
-            values.
-        """
-        circuit = self.circuit
-        inputs = np.asarray(inputs)
-        squeeze = inputs.ndim == 1
-        if squeeze:
-            inputs = inputs[:, None]
-        check_batch_inputs(circuit, inputs)
-        batch = inputs.shape[1]
-
-        if self._int64_safe:
-            node_values = self._evaluate_fast(inputs, batch)
-        else:
-            node_values = self._evaluate_exact(inputs, batch)
-
-        outputs = (
-            node_values[circuit.outputs, :]
-            if circuit.outputs
-            else np.zeros((0, batch), dtype=np.int8)
-        )
-        energy = node_values[circuit.n_inputs :, :].sum(axis=0).astype(np.int64)
-        if squeeze:
-            return SimulationResult(node_values[:, 0], outputs[:, 0], energy[0])
-        return SimulationResult(node_values, outputs, energy)
-
-    def _evaluate_fast(self, inputs: np.ndarray, batch: int) -> np.ndarray:
-        if self._template_program is not None:
-            return self._template_program.run(inputs)
-        circuit = self.circuit
-        node_values = np.zeros((circuit.n_nodes, batch), dtype=np.int64)
-        node_values[: circuit.n_inputs, :] = inputs
-        for layer in self._layers:
-            sums = layer["matrix"] @ node_values
-            fired = sums >= layer["thresholds"][:, None]
-            node_values[layer["nodes"], :] = fired
-        return node_values.astype(np.int8)
-
-    def _evaluate_exact(self, inputs: np.ndarray, batch: int) -> np.ndarray:
-        # Arbitrary-precision fallback: slower, but never overflows.
-        circuit = self.circuit
-        node_values = np.zeros((circuit.n_nodes, batch), dtype=np.int8)
-        node_values[: circuit.n_inputs, :] = inputs
-        for column in range(batch):
-            values = circuit.evaluate_slow(list(inputs[:, column]))
-            node_values[:, column] = values
-        return node_values
 
 
 def simulate(

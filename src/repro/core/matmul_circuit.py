@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.circuit import ThresholdCircuit
-from repro.circuits.simulator import CompiledCircuit
 from repro.core.leaf_builder import (
     build_tree_levels,
     matrix_of_input_banks,
@@ -164,19 +163,11 @@ class MatmulCircuit:
     schedule: Optional[LevelSchedule]
     stages: int = 1
     engine: Optional[object] = field(default=None, repr=False)
-    _compiled: Optional[CompiledCircuit] = field(default=None, repr=False)
     # The decode plan, with the circuit it was built for: a copy made by
     # ``dataclasses.replace`` or a reassigned ``circuit`` gets a fresh one.
     _decoder: Optional[Tuple[ThresholdCircuit, DecodePlan]] = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    @property
-    def compiled(self) -> CompiledCircuit:
-        """The compiled (layered sparse) form, built lazily and cached."""
-        if self._compiled is None:
-            self._compiled = CompiledCircuit(self.circuit)
-        return self._compiled
 
     def _engine(self):
         from repro.engine import default_engine

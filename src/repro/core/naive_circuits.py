@@ -18,7 +18,7 @@ Two constructions are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional, Tuple
 
@@ -30,7 +30,7 @@ from repro.arithmetic.signed import Rep, SignedValue
 from repro.arithmetic.weighted_sum import build_signed_sum, build_signed_sum_banks
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.circuit import ThresholdCircuit
-from repro.circuits.simulator import CompiledCircuit
+from repro.circuits.simulator import simulate
 from repro.core.leaf_builder import matrix_of_input_banks, matrix_of_inputs
 from repro.core.matmul_circuit import MatmulCircuit
 from repro.core.trace_circuit import TraceCircuit, default_bit_width
@@ -52,19 +52,6 @@ class NaiveTriangleCircuit:
     n: int
     tau: int
     edge_index: dict
-    _compiled: Optional[CompiledCircuit] = field(default=None, repr=False)
-
-    @property
-    def compiled(self) -> CompiledCircuit:
-        """Compiled form, built lazily.
-
-        :class:`CompiledCircuit` consumes the circuit's template provenance
-        when present, so the bulk-emitted triangle bank compiles through
-        whichever path the provenance supports.
-        """
-        if self._compiled is None:
-            self._compiled = CompiledCircuit(self.circuit)
-        return self._compiled
 
     def encode(self, adjacency) -> np.ndarray:
         """Encode a symmetric 0/1 adjacency matrix onto the edge inputs."""
@@ -78,8 +65,11 @@ class NaiveTriangleCircuit:
         return vec
 
     def evaluate(self, adjacency) -> bool:
-        """Decide whether the graph has at least ``tau`` triangles."""
-        result = self.compiled.evaluate(self.encode(adjacency))
+        """Decide whether the graph has at least ``tau`` triangles.
+
+        Evaluates through the default engine, sharing its compile cache.
+        """
+        result = simulate(self.circuit, self.encode(adjacency))
         return bool(np.atleast_1d(result.outputs)[0])
 
 

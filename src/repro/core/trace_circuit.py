@@ -28,7 +28,6 @@ from repro.arithmetic.comparator import build_ge_comparison, build_ge_comparison
 from repro.arithmetic.signed import Rep, SignedValue
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.circuit import ThresholdCircuit
-from repro.circuits.simulator import CompiledCircuit
 from repro.core.leaf_builder import (
     build_tree_levels,
     matrix_of_input_banks,
@@ -127,18 +126,6 @@ class TraceCircuit:
     schedule: LevelSchedule
     stages: int = 1
     engine: Optional[object] = field(default=None, repr=False)
-    _compiled: Optional[CompiledCircuit] = field(default=None, repr=False)
-
-    @property
-    def compiled(self) -> CompiledCircuit:
-        """The compiled (layered sparse) form, built lazily and cached.
-
-        Retained for backward compatibility; new code should evaluate
-        through the engine-backed :meth:`evaluate` / :meth:`evaluate_batch`.
-        """
-        if self._compiled is None:
-            self._compiled = CompiledCircuit(self.circuit)
-        return self._compiled
 
     def _engine(self):
         from repro.engine import default_engine

@@ -37,7 +37,6 @@ from repro.engine.backends import (
     ExactBackend,
     SparseBackend,
     backend_registry,
-    compile_circuit,
     get_backend,
     select_backend_name,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "as_completed",
     "backend_registry",
     "chain_future",
-    "compile_circuit",
     "compute_spike_trace",
     "default_artifact_dir",
     "default_engine",

@@ -1,24 +1,32 @@
 """Pluggable evaluation backends for the execution engine.
 
-Every backend lowers a :class:`~repro.circuits.simulator.LayerPlan` into a
-*compiled program*: a picklable object holding only arrays and ints (so the
-batch scheduler can ship it to worker processes) that maps a 0/1 input block
-to the 0/1 values of every node.  Three backends cover the practical space:
+Every backend compiles the one plan form,
+:class:`~repro.circuits.simulator.TemplatePlan` (template blocks plus
+residual runs), into a *compiled program*: a picklable object holding only
+arrays and ints (so the batch scheduler can ship it to worker processes)
+that maps a 0/1 input block to the 0/1 values of every node.  A template
+block evaluates all of its stamped copies with one matrix product per
+template layer; a residual run evaluates with one matrix product per depth
+layer.  Three backends cover the practical space:
 
 ``sparse``
-    One scipy CSR matrix per depth layer.  Wins on large circuits, where the
-    wire structure is genuinely sparse and CSR keeps the arithmetic to the
+    CSR matrices: template layers over the template's local slots, residual
+    layers over the node columns.  Wins on large circuits, where the wire
+    structure is genuinely sparse and CSR keeps the arithmetic to the
     realized wires.
 ``dense``
-    One dense numpy matrix per layer — float64 (BLAS GEMM, still bit-exact)
-    while every worst-case sum stays below ``2**53``, int64 otherwise.  For
-    small or shallow circuits the per-call overhead of CSR (index juggling,
-    format dispatch) dominates the flops; a dense GEMM over a few hundred
-    nodes is much faster.
+    Dense numpy matrices: template layers over the local slots, residual
+    layers over the layer's source rows (a view of their id range, or the
+    distinct rows gathered, then GEMM).
+    float64 (BLAS GEMM, still bit-exact) while every worst-case sum stays
+    below ``2**53``, int64 otherwise.  For small or shallow circuits the
+    per-call overhead of CSR (index juggling, format dispatch) dominates
+    the flops; a dense GEMM over a few hundred rows is much faster.
 ``exact``
     Arbitrary-precision object-dtype evaluation, vectorized over the batch
-    but looping over gates.  The only backend that is correct when a gate's
-    worst-case weighted sum overflows int64; always exact, never fast.
+    (and over every stamp of a template) but looping over gates.  The only
+    backend that is correct when a gate's worst-case weighted sum overflows
+    int64; always exact, never fast.
 
 Selection is automatic per circuit (:func:`select_backend_name`) driven by
 the circuit's :class:`~repro.circuits.circuit.CircuitStats` and the plan's
@@ -28,20 +36,13 @@ overflow verdict, or forced through the engine config.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Protocol, Tuple, Union, runtime_checkable
+from typing import Dict, List, Protocol, runtime_checkable
 
 import numpy as np
 from scipy import sparse
 
-from repro.circuits.circuit import CircuitStats, ThresholdCircuit
-from repro.circuits.store import segment_sum
-from repro.circuits.simulator import (
-    LayerPlan,
-    TemplatePlan,
-    build_layer_plan,
-    build_template_plan,
-    csr_layer_matrix,
-)
+from repro.circuits.circuit import CircuitStats
+from repro.circuits.simulator import ResidualLayer, TemplatePlan
 from repro.circuits.template import TemplateBlock
 from repro.engine.config import EngineConfig
 from repro.obs import get_registry
@@ -54,11 +55,8 @@ __all__ = [
     "ExactBackend",
     "SparseBackend",
     "backend_registry",
-    "compile_circuit",
-    "compile_with_fallback",
     "get_backend",
     "select_backend_name",
-    "template_plan_for",
 ]
 
 
@@ -86,17 +84,15 @@ class CompiledProgram(Protocol):
 
 @runtime_checkable
 class Backend(Protocol):
-    """A compiler from circuits to :class:`CompiledProgram` objects."""
+    """A compiler from plans to :class:`CompiledProgram` objects."""
 
     name: str
 
-    def compile(
-        self, circuit: ThresholdCircuit, plan: Optional[LayerPlan] = None
-    ) -> CompiledProgram:
+    def compile(self, plan: TemplatePlan) -> CompiledProgram:
         ...
 
 
-def _require_safe(plan: LayerPlan, backend: str) -> None:
+def _require_safe(plan: TemplatePlan, backend: str) -> None:
     if not plan.int64_safe:
         raise BackendError(
             f"circuit overflows int64; the {backend!r} backend would be inexact "
@@ -104,261 +100,67 @@ def _require_safe(plan: LayerPlan, backend: str) -> None:
         )
 
 
-# --------------------------------------------------------------------- sparse
-class _MatrixProgram:
-    """Shared run loop for the sparse and dense backends.
+def _stamp_locals(values: np.ndarray, payload: tuple, dtype) -> np.ndarray:
+    """The local value matrix of one template block, parameter rows filled.
 
-    ``layers`` holds ``(nodes, matrix, thresholds)`` triples; only the matrix
-    storage format differs between the two backends.  ``values_dtype`` is the
-    dtype of the node-value working buffer: int64 for the integer paths,
-    float64 for the BLAS-backed dense path (exact while every weighted sum
-    stays below ``2**53``; values are 0.0/1.0 and sums are integral floats).
+    Shape ``(n_params + n_gates, k * batch)``: column ``i * batch + b`` is
+    copy ``i``'s batch column ``b``.
     """
-
-    def __init__(
-        self,
-        backend_name: str,
-        n_inputs: int,
-        n_nodes: int,
-        outputs: List[int],
-        layers: List[Tuple[np.ndarray, object, np.ndarray]],
-        values_dtype=np.int64,
-    ) -> None:
-        self.backend_name = backend_name
-        self.n_inputs = n_inputs
-        self.n_nodes = n_nodes
-        self.outputs = outputs
-        self.layers = layers
-        self.values_dtype = values_dtype
-
-    def run(self, inputs: np.ndarray) -> np.ndarray:
-        node_values = np.zeros(
-            (self.n_nodes, inputs.shape[1]), dtype=self.values_dtype
-        )
-        node_values[: self.n_inputs, :] = inputs
-        registry = get_registry()
-        if registry.debug:
-            # Debug-mode telemetry: time every layer GEMM.  Kept off the
-            # default path — the span per layer would dominate tiny layers.
-            gemm = registry.histogram("backend.layer_gemm_s", backend=self.backend_name)
-            for nodes, matrix, thresholds in self.layers:
-                start = time.perf_counter()
-                sums = matrix @ node_values
-                node_values[nodes, :] = sums >= thresholds[:, None]
-                gemm.observe(time.perf_counter() - start)
-            return node_values.astype(np.int8)
-        for nodes, matrix, thresholds in self.layers:
-            sums = matrix @ node_values
-            node_values[nodes, :] = sums >= thresholds[:, None]
-        return node_values.astype(np.int8)
+    _base, k, params, n_params, n_gates, _layers = payload
+    batch = values.shape[1]
+    local = np.zeros((n_params + n_gates, k * batch), dtype=dtype)
+    if n_params:
+        # params.T is (n_params, k); the gather yields (n_params, k, batch),
+        # flattened stamp-major.
+        local[:n_params] = values[params.T].reshape(n_params, k * batch)
+    return local
 
 
-class SparseBackend:
-    """CSR-per-layer compilation (the original simulator fast path)."""
-
-    name = "sparse"
-
-    def compile(
-        self, circuit: ThresholdCircuit, plan: Optional[LayerPlan] = None
-    ) -> _MatrixProgram:
-        plan = plan if plan is not None else build_layer_plan(circuit)
-        _require_safe(plan, self.name)
-        layers = []
-        for spec in plan.layers:
-            layers.append(
-                (
-                    spec.nodes,
-                    csr_layer_matrix(spec, plan.n_nodes),
-                    np.asarray(spec.thresholds, dtype=np.int64),
-                )
-            )
-        return _MatrixProgram(
-            self.name, plan.n_inputs, plan.n_nodes, list(circuit.outputs), layers
-        )
-
-    def compile_template(self, plan: TemplatePlan) -> "_TemplateProgram":
-        """Template-tiled compile: CSR layer matrices per *template*."""
-        _require_safe(plan, self.name)
-        return _compile_template_matrix(plan, self.name, dense=False)
+def _scatter_block(values: np.ndarray, local: np.ndarray, payload: tuple) -> None:
+    """Write a block's gate rows back (copy i's gate j is node base + i*n_gates + j)."""
+    base, k, _params, n_params, n_gates, _layers = payload
+    batch = values.shape[1]
+    values[base : base + k * n_gates] = (
+        local[n_params:]
+        .reshape(n_gates, k, batch)
+        .transpose(1, 0, 2)
+        .reshape(k * n_gates, batch)
+    )
 
 
-# ---------------------------------------------------------------------- dense
-class DenseBackend:
-    """Dense numpy matrices per layer — fastest when circuits are small.
-
-    When every weighted sum fits exactly in float64 (magnitude below
-    ``2**53`` — true for all circuits this repository constructs) the
-    matrices are stored as float64 so the per-layer product runs on BLAS;
-    results are still bit-exact because 0/1 values, integer weights and
-    integral partial sums are all exactly representable.  Larger (but still
-    int64-safe) circuits fall back to integer matrices.
-    """
-
-    name = "dense"
-
-    def compile(
-        self, circuit: ThresholdCircuit, plan: Optional[LayerPlan] = None
-    ) -> _MatrixProgram:
-        plan = plan if plan is not None else build_layer_plan(circuit)
-        _require_safe(plan, self.name)
-        dtype = np.float64 if plan.float64_exact else np.int64
-        layers = []
-        for spec in plan.layers:
-            matrix = np.zeros((spec.n_gates, plan.n_nodes), dtype=dtype)
-            if len(spec.data):
-                # (row, col) pairs are unique: every emission path merges
-                # duplicate sources during canonicalization.
-                matrix[spec.rows, spec.cols] = np.asarray(spec.data, dtype=np.int64)
-            layers.append(
-                (
-                    spec.nodes,
-                    matrix,
-                    np.asarray(spec.thresholds, dtype=np.int64).astype(dtype),
-                )
-            )
-        return _MatrixProgram(
-            self.name,
-            plan.n_inputs,
-            plan.n_nodes,
-            list(circuit.outputs),
-            layers,
-            values_dtype=dtype,
-        )
-
-    def compile_template(self, plan: TemplatePlan) -> "_TemplateProgram":
-        """Template-tiled compile: dense layer matrices per *template*.
-
-        Local matrices have ``n_params + n_gates`` columns (not
-        ``n_nodes``), so the dense form stays cheap however large the host
-        circuit is; the float64/int64 dtype rule matches :meth:`compile`.
-        """
-        _require_safe(plan, self.name)
-        return _compile_template_matrix(plan, self.name, dense=True)
+#: Source rows a dense residual product gathers at a time, so no layer
+#: materializes a ``(wires, batch)`` block however wide its fan-in.
+_GATHER_ROWS = 2048
 
 
-# ---------------------------------------------------------------------- exact
-class _ExactProgram:
-    """Arbitrary-precision program: object dtype, vectorized over the batch."""
-
-    backend_name = "exact"
-
-    def __init__(
-        self,
-        n_inputs: int,
-        n_nodes: int,
-        outputs: List[int],
-        gates: List[Tuple[int, np.ndarray, np.ndarray, int]],
-    ) -> None:
-        self.backend_name = "exact"
-        self.n_inputs = n_inputs
-        self.n_nodes = n_nodes
-        self.outputs = outputs
-        self.gates = gates  # (node, sources int64, weights object, threshold)
-
-    def run(self, inputs: np.ndarray) -> np.ndarray:
-        batch = inputs.shape[1]
-        values = np.zeros((self.n_nodes, batch), dtype=object)
-        # Coerce through int64 first: validated inputs are 0/1 but may arrive
-        # as floats, and a float leaking into the object products would poison
-        # the arbitrary-precision arithmetic with float64 rounding.
-        values[: self.n_inputs, :] = inputs.astype(np.int64).astype(object)
-        for node, sources, weights, threshold in self.gates:
-            if sources.size:
-                sums = (weights[:, None] * values[sources, :]).sum(axis=0)
-                fired = sums >= threshold
-            else:
-                fired = np.full(batch, 0 >= threshold)
-            # astype(object) boxes Python ints, keeping later products exact.
-            values[node, :] = np.where(fired, 1, 0).astype(object)
-        return values.astype(np.int8)
-
-
-class ExactBackend:
-    """Gate-by-gate arbitrary-precision fallback (always applicable)."""
-
-    name = "exact"
-
-    def compile(
-        self, circuit: ThresholdCircuit, plan: Optional[LayerPlan] = None
-    ) -> _ExactProgram:
-        plan = plan if plan is not None else build_layer_plan(circuit)
-        # Read straight from the columnar store: slicing the flat arrays per
-        # gate avoids materializing Gate objects for what is inherently a
-        # gate-by-gate program.  Weights are boxed to Python ints (object
-        # dtype) so the evaluation arithmetic is arbitrary-precision.
-        cols = circuit.columnar()
-        src_list = cols.sources.tolist()
-        wts_list = cols.weights.tolist()
-        off_list = cols.offsets.tolist()
-        thr_list = cols.thresholds.tolist()
-        n_inputs = circuit.n_inputs
-        gates = []
-        for spec in plan.layers:
-            for node in spec.nodes.tolist():
-                index = node - n_inputs
-                lo, hi = off_list[index], off_list[index + 1]
-                weights = np.empty(hi - lo, dtype=object)
-                weights[:] = wts_list[lo:hi]
-                gates.append(
-                    (
-                        node,
-                        np.asarray(src_list[lo:hi], dtype=np.int64),
-                        weights,
-                        thr_list[index],
-                    )
-                )
-        return _ExactProgram(
-            plan.n_inputs, plan.n_nodes, list(circuit.outputs), gates
-        )
-
-    def compile_template(self, plan: TemplatePlan) -> "_TemplateExactProgram":
-        """Template-tiled exact compile (always applicable)."""
-        return _compile_template_exact(plan)
-
-
-# ----------------------------------------------------------- template tiling
-def _template_layer_matrices(template, dense: bool, dtype):
-    """Per-relative-depth layer matrices of one compiled template.
-
-    Each matrix has shape ``(layer gates, n_params + n_gates)`` — columns
-    are the template's *local* slots, so one matrix serves every stamped
-    copy.  Built once per distinct template per compile (the plan shares
-    ``CompiledTemplate`` objects across that template's blocks).
-    """
-    layers = []
-    for lgates, rows, cols, data, thresholds in template.layers:
-        if dense:
-            matrix = np.zeros((len(lgates), template.n_locals), dtype=dtype)
-            if len(data):
-                matrix[rows, cols] = np.asarray(data, dtype=np.int64)
+def _layer_sums(values: np.ndarray, terms: list) -> np.ndarray:
+    """The weighted sums of one layer: ``matrix @ values[sources]`` summed
+    over its terms (``sources`` a row slice or index array; None reads all)."""
+    sums = None
+    for sources, matrix in terms:
+        part = matrix @ (values if sources is None else values[sources])
+        if sums is None:
+            sums = part
         else:
-            matrix = sparse.csr_matrix(
-                (
-                    np.asarray(data, dtype=np.int64),
-                    (rows, cols),
-                ),
-                shape=(len(lgates), template.n_locals),
-            )
-        layers.append(
-            (
-                template.n_params + lgates,  # V rows to write
-                matrix,
-                np.asarray(thresholds, dtype=np.int64).astype(dtype),
-            )
-        )
-    return layers
+            sums += part
+    return sums
 
 
-class _TemplateProgram:
-    """Template-tiled program shared by the sparse and dense backends.
+class _SegmentProgram:
+    """Run loop shared by the sparse and dense backends.
 
     Segments are evaluated in node-id order (a topological order).  A
-    template segment keeps one local value matrix ``V`` of shape
-    ``(n_params + n_gates, k * batch)``: parameter rows are gathered from
-    the already-computed node values, the template's layer matrices run on
-    all ``k`` stamps at once, and the gate rows scatter back into the
-    block's node-id range.  Residual segments evaluate from their COO
-    slices with one gather plus a segment reduction per depth layer.
+    ``"tpl"`` segment keeps one local value matrix for its block: parameter
+    rows are gathered from the node values, the template's layer matrices
+    run on all ``k`` stamps at once, and the gate rows scatter back into the
+    block's node-id range.  A ``"res"`` segment runs one product per depth
+    layer: a CSR matrix over every node column (sparse), or a dense matrix
+    over the layer's source rows (dense) — a view of their id range when
+    they fill at least half of it, else the distinct rows gathered at most
+    ``_GATHER_ROWS`` at a time.
+    ``values_dtype`` is the dtype of the node-value buffer: int64, or
+    float64 for the BLAS-backed dense path (exact while every weighted sum
+    stays below ``2**53``; values are 0.0/1.0 and sums are integral floats).
     """
 
     def __init__(
@@ -378,11 +180,13 @@ class _TemplateProgram:
         self.values_dtype = values_dtype
 
     def run(self, inputs: np.ndarray) -> np.ndarray:
-        batch = inputs.shape[1]
-        node_values = np.zeros((self.n_nodes, batch), dtype=self.values_dtype)
+        node_values = np.zeros(
+            (self.n_nodes, inputs.shape[1]), dtype=self.values_dtype
+        )
         node_values[: self.n_inputs, :] = inputs
         registry = get_registry()
-        # Debug-mode telemetry only: per-template-layer GEMM timings.
+        # Debug-mode telemetry only: per-layer GEMM timings.  Kept off the
+        # default path — a span per layer would dominate tiny layers.
         gemm = (
             registry.histogram("backend.layer_gemm_s", backend=self.backend_name)
             if registry.debug
@@ -390,41 +194,201 @@ class _TemplateProgram:
         )
         for kind, payload in self.segments:
             if kind == "tpl":
-                base, k, params, n_params, n_gates, layers = payload
-                local = np.zeros(
-                    (n_params + n_gates, k * batch), dtype=self.values_dtype
-                )
-                if n_params:
-                    # params.T is (n_params, k); the gather yields
-                    # (n_params, k, batch), flattened stamp-major so column
-                    # i * batch + b is copy i's batch column b.
-                    local[:n_params] = node_values[params.T].reshape(
-                        n_params, k * batch
-                    )
-                for v_rows, matrix, thresholds in layers:
-                    start = time.perf_counter() if gemm is not None else 0.0
-                    sums = matrix @ local
-                    local[v_rows] = sums >= thresholds[:, None]
-                    if gemm is not None:
-                        gemm.observe(time.perf_counter() - start)
-                # Gate j of copy i lives at node base + i * n_gates + j.
-                node_values[base : base + k * n_gates] = (
-                    local[n_params:]
-                    .reshape(n_gates, k, batch)
-                    .transpose(1, 0, 2)
-                    .reshape(k * n_gates, batch)
-                )
+                values = _stamp_locals(node_values, payload, self.values_dtype)
+                layers = payload[5]
             else:
-                for nodes, cols, data, offsets, thresholds in payload:
-                    sums = segment_sum(
-                        data[:, None] * node_values[cols], offsets
-                    )
-                    node_values[nodes] = sums >= thresholds[:, None]
+                values, layers = node_values, payload
+            for rows, terms, thresholds in layers:
+                start = time.perf_counter() if gemm is not None else 0.0
+                values[rows] = _layer_sums(values, terms) >= thresholds[:, None]
+                if gemm is not None:
+                    gemm.observe(time.perf_counter() - start)
+            if kind == "tpl":
+                _scatter_block(node_values, values, payload)
         return node_values.astype(np.int8)
 
 
-class _TemplateExactProgram:
-    """Arbitrary-precision template-tiled program (object dtype).
+def _weight_matrix(n_rows, n_cols, rows, cols, data, dense: bool, dtype):
+    """An exact ``(n_rows, n_cols)`` weight matrix from COO triples.
+
+    (row, col) pairs are unique: every emission path merges duplicate
+    sources during canonicalization.
+    """
+    data = np.asarray(data, dtype=np.int64)
+    if not dense:
+        return sparse.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
+    matrix = np.zeros((n_rows, n_cols), dtype=dtype)
+    if len(data):
+        matrix[rows, cols] = data
+    return matrix
+
+
+def _template_layers(template, dense: bool, dtype) -> list:
+    """Per-relative-depth layers of one compiled template.
+
+    Each matrix has shape ``(layer gates, n_params + n_gates)`` — columns
+    are the template's *local* slots, so one matrix serves every stamped
+    copy.
+    """
+    layers = []
+    for lgates, rows, cols, data, thresholds in template.layers:
+        matrix = _weight_matrix(
+            len(lgates), template.n_locals, rows, cols, data, dense, dtype
+        )
+        layers.append(
+            (
+                template.n_params + lgates,  # local rows to write
+                [(None, matrix)],
+                np.asarray(thresholds, dtype=np.int64).astype(dtype),
+            )
+        )
+    return layers
+
+
+def _residual_layer(
+    layer: ResidualLayer, n_nodes: int, dense: bool, dtype
+) -> tuple:
+    """One residual depth layer as ``(nodes, terms, thresholds)``."""
+    n_gates = len(layer.nodes)
+    thresholds = np.asarray(layer.thresholds, dtype=np.int64).astype(dtype)
+    if not dense:
+        data = np.asarray(layer.data, dtype=np.int64)
+        matrix = sparse.csr_matrix(
+            (data, layer.cols, layer.offsets), shape=(n_gates, n_nodes)
+        )
+        return layer.nodes, [(None, matrix)], thresholds
+    sources, columns = np.unique(layer.cols, return_inverse=True)
+    rows = np.repeat(np.arange(n_gates, dtype=np.int64), np.diff(layer.offsets))
+    start = int(sources[0]) if len(sources) else 0
+    span = int(sources[-1]) + 1 - start if len(sources) else 0
+    if span <= 2 * len(sources):
+        # The sources fill at least half of their id range: multiply a view
+        # of that range instead of gathering a copy.
+        matrix = _weight_matrix(
+            n_gates, span, rows, layer.cols - start, layer.data, True, dtype
+        )
+        return layer.nodes, [(slice(start, start + span), matrix)], thresholds
+    matrix = _weight_matrix(
+        n_gates, len(sources), rows, columns, layer.data, True, dtype
+    )
+    terms = [
+        (
+            sources[lo : lo + _GATHER_ROWS],
+            np.ascontiguousarray(matrix[:, lo : lo + _GATHER_ROWS]),
+        )
+        for lo in range(0, max(len(sources), 1), _GATHER_ROWS)
+    ]
+    return layer.nodes, terms, thresholds
+
+
+def _lower_segments(plan: TemplatePlan, lower_template, lower_residual) -> list:
+    """The program segments of a plan, in node-id order.
+
+    A template block becomes ``("tpl", (base, k, params, n_params, n_gates,
+    lowered template))`` — ``lower_template`` runs once per distinct template
+    (the plan shares ``CompiledTemplate`` objects across that template's
+    blocks) — and a residual run ``("res", lower_residual(segment))``.
+    """
+    shared: Dict[int, object] = {}
+    segments: List[tuple] = []
+    for segment in plan.segments:
+        if isinstance(segment, TemplateBlock):
+            template = segment.template
+            if id(template) not in shared:
+                shared[id(template)] = lower_template(template)
+            segments.append(
+                (
+                    "tpl",
+                    (
+                        segment.base,
+                        segment.k,
+                        segment.params,
+                        template.n_params,
+                        template.n_gates,
+                        shared[id(template)],
+                    ),
+                )
+            )
+        else:
+            segments.append(("res", lower_residual(segment)))
+    return segments
+
+
+def _compile_matrix(
+    plan: TemplatePlan, backend_name: str, dense: bool
+) -> _SegmentProgram:
+    _require_safe(plan, backend_name)
+    dtype = np.float64 if (dense and plan.float64_exact) else np.int64
+    segments = _lower_segments(
+        plan,
+        lambda template: _template_layers(template, dense, dtype),
+        lambda segment: [
+            _residual_layer(layer, plan.n_nodes, dense, dtype)
+            for layer in segment.layers
+        ],
+    )
+    return _SegmentProgram(
+        backend_name,
+        plan.n_inputs,
+        plan.n_nodes,
+        list(plan.outputs),
+        segments,
+        values_dtype=dtype,
+    )
+
+
+class SparseBackend:
+    """CSR matrices per template layer and per residual depth layer."""
+
+    name = "sparse"
+
+    def compile(self, plan: TemplatePlan) -> _SegmentProgram:
+        return _compile_matrix(plan, self.name, dense=False)
+
+
+class DenseBackend:
+    """Dense numpy matrices per layer — fastest when circuits are small.
+
+    When every weighted sum fits exactly in float64 (magnitude below
+    ``2**53`` — true for all circuits this repository constructs) the
+    matrices are stored as float64 so the per-layer product runs on BLAS;
+    results are still bit-exact because 0/1 values, integer weights and
+    integral partial sums are all exactly representable.  Larger (but still
+    int64-safe) circuits fall back to integer matrices.  Template matrices
+    have ``n_params + n_gates`` columns and residual matrices one column per
+    source row of the layer (not ``n_nodes``), so the dense form stays cheap
+    however large the host circuit is.
+    """
+
+    name = "dense"
+
+    def compile(self, plan: TemplatePlan) -> _SegmentProgram:
+        return _compile_matrix(plan, self.name, dense=True)
+
+
+# ---------------------------------------------------------------------- exact
+def _object_weights(weights) -> np.ndarray:
+    """Box a weight slice into an object array of Python ints."""
+    values = weights.tolist() if isinstance(weights, np.ndarray) else list(weights)
+    out = np.empty(len(values), dtype=object)
+    out[:] = [int(v) for v in values]
+    return out
+
+
+def _run_exact_gates(values: np.ndarray, gates: list) -> None:
+    """Evaluate ``(row, sources, weights, threshold)`` gates in order, in place."""
+    width = values.shape[1]
+    for row, sources, weights, threshold in gates:
+        if sources.size:
+            fired = (weights[:, None] * values[sources, :]).sum(axis=0) >= threshold
+        else:
+            fired = np.full(width, 0 >= threshold)
+        # astype(object) boxes Python ints, keeping later products exact.
+        values[row, :] = np.where(fired, 1, 0).astype(object)
+
+
+class _ExactSegmentProgram:
+    """Arbitrary-precision program over the same segments (object dtype).
 
     Loops over each template's *local* gates once, vectorized over all
     stamps and the batch — the copy count k never re-enters the Python
@@ -447,155 +411,77 @@ class _TemplateExactProgram:
         self.segments = segments
 
     def run(self, inputs: np.ndarray) -> np.ndarray:
-        batch = inputs.shape[1]
-        values = np.zeros((self.n_nodes, batch), dtype=object)
+        values = np.zeros((self.n_nodes, inputs.shape[1]), dtype=object)
+        # Coerce through int64 first: validated inputs are 0/1 but may arrive
+        # as floats, and a float leaking into the object products would poison
+        # the arbitrary-precision arithmetic with float64 rounding.
         values[: self.n_inputs, :] = inputs.astype(np.int64).astype(object)
         for kind, payload in self.segments:
             if kind == "tpl":
-                base, k, params, n_params, n_gates, local_gates = payload
-                local = np.zeros((n_params + n_gates, k * batch), dtype=object)
-                if n_params:
-                    local[:n_params] = values[params.T].reshape(
-                        n_params, k * batch
-                    )
-                for j, (lsrc, weights, threshold) in enumerate(local_gates):
-                    if lsrc.size:
-                        sums = (weights[:, None] * local[lsrc, :]).sum(axis=0)
-                        fired = sums >= threshold
-                    else:
-                        fired = np.full(k * batch, 0 >= threshold)
-                    local[n_params + j, :] = np.where(fired, 1, 0).astype(object)
-                values[base : base + k * n_gates] = (
-                    local[n_params:]
-                    .reshape(n_gates, k, batch)
-                    .transpose(1, 0, 2)
-                    .reshape(k * n_gates, batch)
-                )
+                local = _stamp_locals(values, payload, object)
+                _run_exact_gates(local, payload[5])
+                _scatter_block(values, local, payload)
             else:
-                for node, sources, weights, threshold in payload:
-                    if sources.size:
-                        sums = (weights[:, None] * values[sources, :]).sum(axis=0)
-                        fired = sums >= threshold
-                    else:
-                        fired = np.full(batch, 0 >= threshold)
-                    values[node, :] = np.where(fired, 1, 0).astype(object)
+                _run_exact_gates(values, payload)
         return values.astype(np.int8)
 
 
-def _compile_template_matrix(
-    plan: TemplatePlan, backend_name: str, dense: bool
-) -> _TemplateProgram:
-    dtype = np.float64 if (dense and plan.float64_exact) else np.int64
-    shared: Dict[int, list] = {}
-    segments: List[tuple] = []
-    for segment in plan.segments:
-        if isinstance(segment, TemplateBlock):
-            template = segment.template
-            layers = shared.get(id(template))
-            if layers is None:
-                layers = _template_layer_matrices(template, dense, dtype)
-                shared[id(template)] = layers
-            segments.append(
-                (
-                    "tpl",
-                    (
-                        segment.base,
-                        segment.k,
-                        segment.params,
-                        template.n_params,
-                        template.n_gates,
-                        layers,
-                    ),
-                )
+def _exact_template_gates(template) -> list:
+    """A template's gates as ``(local row, local sources, weights, threshold)``."""
+    src_list = template.sources.tolist()
+    off_list = template.offsets.tolist()
+    thr_list = template.thresholds.tolist()
+    gates = []
+    for j in range(template.n_gates):
+        lo, hi = off_list[j], off_list[j + 1]
+        gates.append(
+            (
+                template.n_params + j,
+                np.asarray(src_list[lo:hi], dtype=np.int64),
+                _object_weights(template.weights[lo:hi]),
+                int(thr_list[j]),
             )
-        else:
-            layers = [
-                (
-                    layer.nodes,
-                    layer.cols,
-                    np.asarray(layer.data, dtype=np.int64).astype(dtype),
-                    layer.offsets,
-                    np.asarray(layer.thresholds, dtype=np.int64).astype(dtype),
-                )
+        )
+    return gates
+
+
+def _exact_residual_gates(layer: ResidualLayer) -> list:
+    """A residual layer's gates as ``(node, sources, weights, threshold)``."""
+    off_list = layer.offsets.tolist()
+    thr_list = (
+        layer.thresholds.tolist()
+        if isinstance(layer.thresholds, np.ndarray)
+        else list(layer.thresholds)
+    )
+    return [
+        (
+            node,
+            layer.cols[off_list[row] : off_list[row + 1]],
+            _object_weights(layer.data[off_list[row] : off_list[row + 1]]),
+            int(thr_list[row]),
+        )
+        for row, node in enumerate(layer.nodes.tolist())
+    ]
+
+
+class ExactBackend:
+    """Gate-by-gate arbitrary-precision backend (always applicable)."""
+
+    name = "exact"
+
+    def compile(self, plan: TemplatePlan) -> _ExactSegmentProgram:
+        segments = _lower_segments(
+            plan,
+            _exact_template_gates,
+            lambda segment: [
+                gate
                 for layer in segment.layers
-            ]
-            segments.append(("coo", layers))
-    return _TemplateProgram(
-        backend_name,
-        plan.n_inputs,
-        plan.n_nodes,
-        list(plan.outputs),
-        segments,
-        values_dtype=dtype if dense else np.int64,
-    )
-
-
-def _object_weights(weights) -> np.ndarray:
-    """Box a weight slice into an object array of Python ints."""
-    values = weights.tolist() if isinstance(weights, np.ndarray) else list(weights)
-    out = np.empty(len(values), dtype=object)
-    out[:] = [int(v) for v in values]
-    return out
-
-
-def _compile_template_exact(plan: TemplatePlan) -> _TemplateExactProgram:
-    shared: Dict[int, list] = {}
-    segments: List[tuple] = []
-    for segment in plan.segments:
-        if isinstance(segment, TemplateBlock):
-            template = segment.template
-            local_gates = shared.get(id(template))
-            if local_gates is None:
-                src_list = template.sources.tolist()
-                off_list = template.offsets.tolist()
-                thr_list = template.thresholds.tolist()
-                local_gates = []
-                for j in range(template.n_gates):
-                    lo, hi = off_list[j], off_list[j + 1]
-                    local_gates.append(
-                        (
-                            np.asarray(src_list[lo:hi], dtype=np.int64),
-                            _object_weights(template.weights[lo:hi]),
-                            int(thr_list[j]),
-                        )
-                    )
-                shared[id(template)] = local_gates
-            segments.append(
-                (
-                    "tpl",
-                    (
-                        segment.base,
-                        segment.k,
-                        segment.params,
-                        template.n_params,
-                        template.n_gates,
-                        local_gates,
-                    ),
-                )
-            )
-        else:
-            gates = []
-            for layer in segment.layers:
-                off_list = layer.offsets.tolist()
-                thr_list = (
-                    layer.thresholds.tolist()
-                    if isinstance(layer.thresholds, np.ndarray)
-                    else list(layer.thresholds)
-                )
-                for row, node in enumerate(layer.nodes.tolist()):
-                    lo, hi = off_list[row], off_list[row + 1]
-                    gates.append(
-                        (
-                            node,
-                            layer.cols[lo:hi],
-                            _object_weights(layer.data[lo:hi]),
-                            int(thr_list[row]),
-                        )
-                    )
-            segments.append(("coo", gates))
-    return _TemplateExactProgram(
-        plan.n_inputs, plan.n_nodes, list(plan.outputs), segments
-    )
+                for gate in _exact_residual_gates(layer)
+            ],
+        )
+        return _ExactSegmentProgram(
+            plan.n_inputs, plan.n_nodes, list(plan.outputs), segments
+        )
 
 
 # ------------------------------------------------------------------ selection
@@ -621,7 +507,7 @@ def get_backend(name: str) -> Backend:
 
 
 def select_backend_name(
-    plan: Union[LayerPlan, TemplatePlan], stats: CircuitStats, config: EngineConfig
+    plan: TemplatePlan, stats: CircuitStats, config: EngineConfig
 ) -> str:
     """Pick the concrete backend for one circuit (the ``"auto"`` heuristic).
 
@@ -629,9 +515,9 @@ def select_backend_name(
     when the circuit is small enough that dense layer matrices stay cheap, or
     wire-dense enough that CSR buys nothing; everything else goes sparse.
     Forcing a specific backend is the engine's job — this function only
-    encodes the heuristic.  Both plan forms carry the fields it reads
-    (``int64_safe``, ``n_nodes``), so template and CSR compiles of the same
-    circuit always resolve to the same backend.
+    encodes the heuristic.  It reads only whole-circuit fields
+    (``int64_safe``, ``n_nodes``), so a circuit resolves to the same backend
+    whether or not its provenance was accepted.
     """
     if not plan.int64_safe:
         return "exact"
@@ -640,63 +526,3 @@ def select_backend_name(
     if stats.size and stats.edges / (stats.size * plan.n_nodes) >= config.dense_density:
         return "dense"
     return "sparse"
-
-
-def template_plan_for(
-    circuit: ThresholdCircuit, config: Optional[EngineConfig] = None
-) -> Optional[TemplatePlan]:
-    """The template plan the engine's config rules select, or None.
-
-    The single gating rule (``template_compile`` switch + ``min_cover``
-    threshold) shared by :meth:`Engine.compile`, :func:`compile_circuit`
-    and the simulator's :class:`~repro.circuits.simulator.CompiledCircuit`,
-    so the documented fallback behavior cannot drift between entry points.
-    """
-    cfg = config if config is not None else EngineConfig()
-    if not cfg.template_compile:
-        return None
-    return build_template_plan(circuit, min_cover=cfg.template_min_cover)
-
-
-def compile_with_fallback(
-    backend: Backend,
-    circuit: ThresholdCircuit,
-    template_plan: Optional[TemplatePlan] = None,
-    plan: Optional[LayerPlan] = None,
-) -> Tuple[CompiledProgram, Optional[LayerPlan]]:
-    """Compile via the template path when possible, else the CSR plan.
-
-    Returns ``(program, layer_plan)`` where ``layer_plan`` is None exactly
-    when the template path compiled (the caller then has no global
-    depth-layer view); a backend without ``compile_template`` falls back to
-    the CSR plan, building it on demand.
-    """
-    if template_plan is not None and hasattr(backend, "compile_template"):
-        return backend.compile_template(template_plan), None
-    if plan is None:
-        plan = build_layer_plan(circuit)
-    return backend.compile(circuit, plan=plan), plan
-
-
-def compile_circuit(
-    circuit: ThresholdCircuit,
-    name: str,
-    plan: Optional[LayerPlan] = None,
-    template_plan: Optional[TemplatePlan] = None,
-    config: Optional[EngineConfig] = None,
-) -> CompiledProgram:
-    """Compile a circuit for a concrete backend name.
-
-    When the circuit carries template provenance (and no explicit CSR
-    ``plan`` was handed in) the template-streaming path is used; circuits
-    without provenance — or backends without a ``compile_template`` — fall
-    back to the CSR path automatically.  ``config`` governs the same two
-    knobs the engine honors (``template_compile``, ``template_min_cover``);
-    None applies the default config, so this entry point and
-    :meth:`Engine.compile` route identically.
-    """
-    backend = get_backend(name)
-    if plan is None and template_plan is None:
-        template_plan = template_plan_for(circuit, config)
-    program, _ = compile_with_fallback(backend, circuit, template_plan, plan)
-    return program

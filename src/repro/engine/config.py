@@ -50,16 +50,11 @@ class EngineConfig:
     dense_density:
         Auto-selection: circuits whose wire density (edges per gate-node
         pair) is at least this also go dense, whatever their size.
-    template_compile:
-        When True (default), circuits carrying template provenance compile
-        through the template-streaming path (one layer plan per stamped
-        gadget template, tiled across stamps) instead of re-reading the
-        consolidated CSR.  Bit-identical to the CSR path; disable to force
-        the classic compile (ablation / debugging).
     template_min_cover:
         Minimum fraction of gates that must be covered by template blocks
-        before the template path is taken; sparsely-stamped circuits below
-        it compile via the CSR path, which amortizes better there.
+        before the compile tiles them (one layer plan per stamped gadget
+        template, shared across stamps); sparsely-stamped circuits below it
+        compile every gate as residual runs, which amortize better there.
     persistent_pool:
         When True (default) and ``max_workers > 1``, batched evaluation
         routes through the resident :class:`~repro.engine.service.EvaluationService`
@@ -149,7 +144,6 @@ class EngineConfig:
     parallel_threshold: int = 1024
     dense_node_limit: int = 512
     dense_density: float = 0.25
-    template_compile: bool = True
     template_min_cover: float = 0.25
     persistent_pool: bool = True
     shared_memory_min_bytes: int = 1 << 20

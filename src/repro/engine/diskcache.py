@@ -1,6 +1,6 @@
 """Disk-backed compile-artifact store: cold-start elimination for the engine.
 
-Compiled programs (template-streamed or CSR, any backend) are picklable —
+Compiled programs (any backend) are picklable —
 the evaluation service already ships them to workers — but they die with
 the process, so every restart and every new host re-pays the full compile.
 This module persists them under a directory keyed by
@@ -57,9 +57,10 @@ __all__ = [
     "default_artifact_dir",
 ]
 
-#: Bump when the on-disk artifact layout (or anything that would make an
-#: old pickle unsafe to trust) changes; old artifacts become invisible.
-ARTIFACT_VERSION = 1
+#: Bump when the on-disk artifact layout, or the class or layout of a
+#: pickled program (anything that would make an old pickle unsafe to trust),
+#: changes; old artifacts become invisible.
+ARTIFACT_VERSION = 2
 
 _META_FORMAT = "repro-compiled-artifact"
 _META_NAME = "meta.json"

@@ -36,16 +36,10 @@ import numpy as np
 from repro.circuits.circuit import ThresholdCircuit
 from repro.circuits.simulator import (
     SimulationResult,
-    build_layer_plan,
+    build_template_plan,
     check_batch_inputs,
 )
-from repro.engine.backends import (
-    CompiledProgram,
-    compile_with_fallback,
-    get_backend,
-    select_backend_name,
-    template_plan_for,
-)
+from repro.engine.backends import CompiledProgram, get_backend, select_backend_name
 from repro.engine.cache import CacheInfo, CompileCache
 from repro.engine.config import BACKEND_NAMES, EngineConfig
 from repro.engine.diskcache import DiskArtifactStore
@@ -59,22 +53,18 @@ __all__ = ["Engine", "default_engine", "set_default_engine"]
 
 @dataclass
 class _CacheEntry:
-    """A compiled program plus the slim activity plan spiking mode needs.
+    """A compiled program and the compile-cache slot it lives under.
 
-    The full :class:`LayerPlan` (per-wire Python-int lists, O(edges) boxed
-    ints) is deliberately *not* retained: it exists only during compilation.
-    Template-streaming compiles never build the global depth-layer view, so
-    ``activity`` is None there; lazily-built plans are memoized on the
-    *engine* keyed by structural hash (never by mutating the entry, which
-    may be shared across concurrent calls — and with ``cache_size=0`` the
-    entry is discarded immediately, so an entry-level memo would silently
-    rebuild the plan on every trace).  ``key`` is the compile-cache slot
-    ``(structural_hash, backend)`` the program lives under; the service
-    reuses it as the install-once program identity.
+    ``key`` is ``(structural_hash, backend)``; the service reuses it as the
+    install-once program identity.  The spiking replay's activity plan is
+    not kept here: the engine builds it lazily and memoizes it by structural
+    hash (never by mutating the entry, which may be shared across
+    concurrent calls — and with ``cache_size=0`` the entry is discarded
+    immediately, so an entry-level memo would rebuild the plan on every
+    trace).
     """
 
     program: CompiledProgram
-    activity: Optional[ActivityPlan]
     key: Tuple[str, str]
 
 
@@ -88,8 +78,7 @@ class Engine:
             # (idempotent — a second engine joins the live registry).
             enable_telemetry()
         # The optional disk artifact store: memory misses probe it before
-        # recompiling, fresh compiles spill back.  Restored entries carry
-        # no activity plan (rebuilt lazily via _activity_plans) and do not
+        # recompiling, fresh compiles spill back.  Restored entries do not
         # count as compile_calls — the whole point is that no backend ran.
         self._artifacts = (
             DiskArtifactStore(
@@ -104,9 +93,7 @@ class Engine:
             self.config.cache_size,
             disk=self._artifacts,
             spill=lambda entry: entry.program,
-            restore=lambda program, key: _CacheEntry(
-                program=program, activity=None, key=key
-            ),
+            restore=lambda program, key: _CacheEntry(program=program, key=key),
         )
         # Remembered auto-selection verdicts (hash -> concrete backend name),
         # so an auto lookup costs one cache probe and one LRU slot, not two.
@@ -144,14 +131,6 @@ class Engine:
             entry = self._cache.get((key_hash, resolved))
             if entry is not None:
                 return entry
-        # Template-streaming compile: circuits built through the gadget
-        # stamper carry their template blocks, and compiling one layer plan
-        # per template (tiled across stamps) skips the consolidated-CSR
-        # re-gather entirely.  Everything else — and any backend without a
-        # compile_template — falls back to the classic CSR plan.  Both
-        # compiles are bit-identical and share the (hash, backend) cache
-        # slot, so a template compile can satisfy later CSR-built rebuilds
-        # of the same circuit and vice versa.
         if self.config.verify_compile:
             # Debug gate: statically verify the circuit (structure,
             # provenance, interval analysis, plan cross-checks) before
@@ -162,16 +141,13 @@ class Engine:
             verify_circuit(circuit).raise_if_failed()
         registry = get_registry()
         compile_start = time.perf_counter() if registry.enabled else 0.0
-        template_plan = template_plan_for(circuit, self.config)
-        plan = None
-        if template_plan is None:
-            plan = build_layer_plan(circuit)
+        # The one compile path: template blocks the provenance licenses,
+        # every other gate as residual runs.  Compiles of one structure share
+        # the (hash, backend) cache slot whatever provenance the circuit
+        # object carries, since the programs are bit-identical.
+        plan = build_template_plan(circuit, min_cover=self.config.template_min_cover)
         if requested == "auto":
-            selected = select_backend_name(
-                template_plan if template_plan is not None else plan,
-                circuit.stats(),
-                self.config,
-            )
+            selected = select_backend_name(plan, circuit.stats(), self.config)
             # Verdicts are cheap to recompute; keep the map bounded so a
             # long-lived engine seeing many distinct circuits cannot leak.
             if len(self._auto_resolved) >= max(64, 4 * self._cache.capacity):
@@ -184,24 +160,13 @@ class Engine:
                 if entry is not None:
                     return entry
             resolved = selected
-        program, used_plan = compile_with_fallback(
-            get_backend(resolved), circuit, template_plan, plan
-        )
-        # Template compiles skip the global depth-layer view; the activity
-        # plan is then built lazily from the circuit if a trace ever asks.
-        activity = (
-            None if used_plan is None else ActivityPlan.from_layer_plan(used_plan)
-        )
+        program = get_backend(resolved).compile(plan)
         self.compile_calls += 1
         if registry.enabled:
-            registry.histogram(
-                "engine.compile_s",
-                backend=resolved,
-                path="template" if used_plan is None else "csr",
-            ).observe(time.perf_counter() - compile_start)
-        entry = _CacheEntry(
-            program=program, activity=activity, key=(key_hash, resolved)
-        )
+            registry.histogram("engine.compile_s", backend=resolved).observe(
+                time.perf_counter() - compile_start
+            )
+        entry = _CacheEntry(program=program, key=(key_hash, resolved))
         self._cache.put((key_hash, resolved), entry)
         return entry
 
@@ -397,21 +362,15 @@ class Engine:
             raise
         return future
 
-    def _activity_plan(
-        self, circuit: ThresholdCircuit, entry: _CacheEntry
-    ) -> ActivityPlan:
-        """The activity plan for a compiled entry, memoized by structural hash.
+    def _activity_plan(self, circuit: ThresholdCircuit, key_hash: str) -> ActivityPlan:
+        """The circuit's activity plan, built lazily and memoized by hash.
 
-        CSR compiles carry the plan on the entry; template-streaming
-        compiles build it lazily here, *once per circuit structure* — keyed
-        by hash rather than stored on the (possibly uncached, possibly
-        shared) entry, so ``cache_size=0`` engines do not rebuild the plan
-        on every trace and cached entries are never mutated.
+        Keyed by structural hash rather than stored on the (possibly
+        uncached, possibly shared) cache entry, so ``cache_size=0`` engines
+        do not rebuild the plan on every trace and cached entries are never
+        mutated.
         """
-        if entry.activity is not None:
-            return entry.activity
         registry = get_registry()
-        key_hash = entry.key[0]
         plan = self._activity_plans.get(key_hash)
         if registry.enabled:
             registry.counter(
@@ -438,7 +397,7 @@ class Engine:
             inputs = inputs[:, None]
         check_batch_inputs(circuit, inputs)
         entry = self._entry(circuit, backend)
-        activity = self._activity_plan(circuit, entry)
+        activity = self._activity_plan(circuit, entry.key[0])
         node_values = self._node_values(entry, inputs)
         return compute_spike_trace(activity, node_values)
 

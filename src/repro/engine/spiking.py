@@ -16,23 +16,22 @@ and costs one extra pass over the layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.circuits.simulator import LayerPlan
+from repro.circuits.store import iter_depth_layers
 
 __all__ = ["ActivityPlan", "SpikeTrace", "compute_spike_trace"]
 
 
 @dataclass(frozen=True)
 class ActivityPlan:
-    """The slice of a :class:`LayerPlan` the spiking replay actually reads.
+    """The global depth-layer view the spiking replay reads.
 
-    A full layer plan carries per-wire Python-int weight lists (O(edges)
-    boxed ints) that only matter during compilation; this slim form — just
-    int64 arrays — is what the engine retains in its compile cache so
-    spike traces stay cheap without pinning the plan.
+    Just int64 arrays — each layer's gate node ids and the source node id
+    of each of its wires — with no weights or thresholds, so the engine can
+    memoize it per circuit structure without pinning a compiled plan.
     """
 
     n_inputs: int
@@ -40,28 +39,8 @@ class ActivityPlan:
     layers: Tuple[Tuple[int, np.ndarray, np.ndarray], ...]  # (depth, nodes, cols)
 
     @classmethod
-    def from_layer_plan(cls, plan: LayerPlan) -> "ActivityPlan":
-        return cls(
-            n_inputs=plan.n_inputs,
-            n_nodes=plan.n_nodes,
-            layers=tuple(
-                (spec.depth, spec.nodes, spec.cols) for spec in plan.layers
-            ),
-        )
-
-    @classmethod
     def from_circuit(cls, circuit) -> "ActivityPlan":
-        """Build the activity layers straight from a circuit's columnar store.
-
-        Produces exactly the layers :meth:`from_layer_plan` would for the
-        same circuit, without lowering weights or thresholds.  Used by the
-        engine when a circuit was compiled through the template-streaming
-        path (no full :class:`LayerPlan` exists there) and a spike trace is
-        requested — the one consumer that genuinely needs the global
-        depth-layer view.
-        """
-        from repro.circuits.store import iter_depth_layers
-
+        """Build the activity layers straight from a circuit's columnar store."""
         cols_store = circuit.columnar()
         layers = [
             (depth, gate_idx + circuit.n_inputs, cols_store.sources[wire_idx])
@@ -148,16 +127,12 @@ class SpikeTrace:
         }
 
 
-def compute_spike_trace(
-    plan: Union[ActivityPlan, LayerPlan], node_values: np.ndarray
-) -> SpikeTrace:
-    """Replay a (activity or full layer) plan over computed node values.
+def compute_spike_trace(plan: ActivityPlan, node_values: np.ndarray) -> SpikeTrace:
+    """Replay an activity plan over computed node values.
 
     ``node_values`` is the ``(n_nodes, batch)`` 0/1 matrix produced by any
     backend for the same circuit the plan was built from.
     """
-    if isinstance(plan, LayerPlan):
-        plan = ActivityPlan.from_layer_plan(plan)
     if node_values.ndim != 2 or node_values.shape[0] != plan.n_nodes:
         raise ValueError(
             f"node_values must have shape ({plan.n_nodes}, batch), "

@@ -93,10 +93,8 @@ GUARDED_CLASSES: Dict[str, LockSpec] = {
 #: default pickle protocol rejects — PR 5 hit this the hard way.
 POOL_BOUNDARY_CLASSES: FrozenSet[str] = frozenset(
     {
-        "_MatrixProgram",
-        "_ExactProgram",
-        "_TemplateProgram",
-        "_TemplateExactProgram",
+        "_SegmentProgram",
+        "_ExactSegmentProgram",
     }
 )
 

@@ -19,11 +19,12 @@ direction.  On top of the intervals the verifier checks:
   (deeper than :func:`~repro.circuits.simulator.build_template_plan`,
   which validates the tiling but trusts the wires);
 * **reachability** — gates that cannot influence any declared output;
-* **plans** — :func:`build_layer_plan` / :func:`build_template_plan`
-  cross-checks: both plan forms must exist where provenance says they can,
-  agree on ``max_magnitude`` / ``int64_safe`` / ``float64_exact``, and be
-  well-formed (strictly increasing layer depths, every gate planned
-  exactly once, indices in range, segments tiling the gate range).
+* **plans** — :func:`build_template_plan`, the one plan every backend
+  compiles, must accept provenance the provenance pass verified, agree
+  with the verifier on ``max_magnitude`` / ``int64_safe``, and be
+  well-formed (strictly increasing depths within each residual run, node
+  and source ids in range, every gate planned exactly once, segments
+  tiling the gate range).
 
 Everything is exact: interval arithmetic runs on int64 when the worst case
 is certified to fit and on Python ints otherwise, so a huge-weight circuit
@@ -40,10 +41,9 @@ import numpy as np
 from repro.circuits.circuit import ThresholdCircuit
 from repro.circuits.simulator import (
     _INT64_SAFE_LIMIT,
-    LayerPlan,
+    ResidualLayer,
     ResidualSegment,
     TemplatePlan,
-    build_layer_plan,
     build_template_plan,
 )
 from repro.circuits.store import (
@@ -132,7 +132,7 @@ class GateIntervals:
 
     @property
     def int64_safe(self) -> bool:
-        """The interval analogue of :attr:`LayerPlan.int64_safe` (>= as tight)."""
+        """The interval analogue of :attr:`TemplatePlan.int64_safe` (>= as tight)."""
         return self.max_magnitude < INT64_SAFE_LIMIT
 
 
@@ -463,97 +463,78 @@ def _covered_gates(circuit: ThresholdCircuit) -> int:
 
 
 # --------------------------------------------------------------------------
-# Plan cross-checks: both compiled forms well-formed and in agreement.
+# Plan checks: the one compiled form is well-formed.
 # --------------------------------------------------------------------------
 
 
-def _layer_plan_issues(plan: LayerPlan) -> List[str]:
+def _residual_layer_issues(
+    plan: TemplatePlan, layer: ResidualLayer, label: str
+) -> List[str]:
     issues: List[str] = []
-    last_depth = 0
-    planned: List[np.ndarray] = []
-    for spec in plan.layers:
-        if spec.depth <= last_depth:
-            issues.append(
-                f"layer plan: depth {spec.depth} layer does not strictly "
-                f"increase over {last_depth}"
-            )
-        last_depth = spec.depth
-        nodes = np.asarray(spec.nodes, dtype=np.int64)
-        planned.append(nodes)
-        if nodes.size and (
-            int(nodes.min()) < plan.n_inputs or int(nodes.max()) >= plan.n_nodes
-        ):
-            issues.append(
-                f"layer plan: depth {spec.depth} layer holds node ids outside "
-                f"[{plan.n_inputs}, {plan.n_nodes})"
-            )
-        cols_arr = np.asarray(spec.cols, dtype=np.int64)
-        if cols_arr.size and (
-            int(cols_arr.min()) < 0 or int(cols_arr.max()) >= plan.n_nodes
-        ):
-            issues.append(
-                f"layer plan: depth {spec.depth} layer reads sources outside "
-                f"[0, {plan.n_nodes})"
-            )
-        rows = np.asarray(spec.rows, dtype=np.int64)
-        if rows.size and (
-            int(rows.min()) < 0 or int(rows.max()) >= spec.n_gates
-        ):
-            issues.append(
-                f"layer plan: depth {spec.depth} layer wire rows outside "
-                f"[0, {spec.n_gates})"
-            )
-    total = int(sum(len(nodes) for nodes in planned))
-    expected_total = plan.n_nodes - plan.n_inputs
-    if total != expected_total:
+    nodes = np.asarray(layer.nodes, dtype=np.int64)
+    if nodes.size and (
+        int(nodes.min()) < plan.n_inputs or int(nodes.max()) >= plan.n_nodes
+    ):
         issues.append(
-            f"layer plan covers {total} gates, circuit has {expected_total}"
+            f"{label}: depth {layer.depth} layer holds node ids outside "
+            f"[{plan.n_inputs}, {plan.n_nodes})"
         )
-    elif planned:
-        all_nodes = np.concatenate(planned)
-        if len(np.unique(all_nodes)) != total:
-            issues.append("layer plan schedules some gate more than once")
+    cols_arr = np.asarray(layer.cols, dtype=np.int64)
+    if cols_arr.size and (
+        int(cols_arr.min()) < 0 or int(cols_arr.max()) >= plan.n_nodes
+    ):
+        issues.append(
+            f"{label}: depth {layer.depth} layer reads sources outside "
+            f"[0, {plan.n_nodes})"
+        )
+    offsets = np.asarray(layer.offsets, dtype=np.int64)
+    if (
+        len(offsets) != len(nodes) + 1
+        or int(offsets[0]) != 0
+        or int(offsets[-1]) != len(cols_arr)
+        or bool(np.any(np.diff(offsets) < 0))
+    ):
+        issues.append(
+            f"{label}: depth {layer.depth} layer offsets do not partition "
+            "its wires among its gates"
+        )
     return issues
 
 
-def _template_plan_issues(plan: TemplatePlan) -> List[str]:
+def _plan_issues(plan: TemplatePlan) -> List[str]:
     issues: List[str] = []
-    cursor = 0
+    cursor = 0  # the gate index the next segment must start at
     for segment in plan.segments:
-        if isinstance(segment, ResidualSegment):
-            nodes = (
-                np.sort(
-                    np.concatenate(
-                        [
-                            np.asarray(layer.nodes, dtype=np.int64)
-                            for layer in segment.layers
-                        ]
-                    )
-                )
-                if segment.layers
-                else np.empty(0, dtype=np.int64)
-            )
-            count = len(nodes)
-            expected = plan.n_inputs + cursor + np.arange(count, dtype=np.int64)
-            if not np.array_equal(nodes, expected):
-                issues.append(
-                    f"template plan: residual segment at gate {cursor} does "
-                    "not cover its gap exactly"
-                )
-            cursor += count
-        else:  # a TemplateBlock
+        if not isinstance(segment, ResidualSegment):  # a TemplateBlock
             first = int(segment.base) - plan.n_inputs
             if first != cursor:
                 issues.append(
-                    f"template plan: block at node {int(segment.base)} does "
-                    f"not start at the tiling cursor (gate {cursor})"
+                    f"plan: block at node {int(segment.base)} does not start "
+                    f"at the tiling cursor (gate {cursor})"
                 )
             cursor = first + segment.k * segment.template.n_gates
+            continue
+        label = f"plan: residual segment at gate {cursor}"
+        last_depth = 0
+        planned: List[np.ndarray] = []
+        for layer in segment.layers:
+            if layer.depth <= last_depth:
+                issues.append(
+                    f"{label}: depth {layer.depth} layer does not strictly "
+                    f"increase over {last_depth}"
+                )
+            last_depth = layer.depth
+            planned.append(np.asarray(layer.nodes, dtype=np.int64))
+            issues.extend(_residual_layer_issues(plan, layer, label))
+        nodes = np.sort(np.concatenate(planned)) if planned else np.empty(0, np.int64)
+        expected = plan.n_inputs + cursor + np.arange(len(nodes), dtype=np.int64)
+        if not np.array_equal(nodes, expected):
+            issues.append(
+                f"{label} does not schedule each gate of its gap exactly once"
+            )
+        cursor += len(nodes)
     if cursor != plan.size:
-        issues.append(
-            f"template plan segments cover {cursor} gates, circuit has "
-            f"{plan.size}"
-        )
+        issues.append(f"plan segments cover {cursor} gates, circuit has {plan.size}")
     return issues
 
 
@@ -646,43 +627,29 @@ def verify_circuit(
             )
 
     if plans:
-        plan = build_layer_plan(circuit)
+        plan = build_template_plan(circuit)
         if plan.max_magnitude != worst:
             report.issues.append(
-                f"build_layer_plan reports max_magnitude {plan.max_magnitude}, "
+                f"build_template_plan reports max_magnitude {plan.max_magnitude}, "
                 f"verifier derived {worst}"
             )
         if plan.int64_safe != (worst < INT64_SAFE_LIMIT):
             report.issues.append(
-                "build_layer_plan int64_safe verdict disagrees with the "
+                "build_template_plan int64_safe verdict disagrees with the "
                 "verifier's magnitude bound"
             )
         if interval_summary is not None and (
             interval_summary.max_magnitude > plan.max_magnitude
         ):
             report.issues.append(
-                "interval bound exceeds the layer plan's worst case — "
-                "analyzer bug"
+                "interval bound exceeds the plan's worst case — analyzer bug"
             )
-        report.issues.extend(_layer_plan_issues(plan))
-        if blocks and not prov_issues:
-            template_plan = build_template_plan(circuit)
-            if template_plan is None:
-                report.issues.append(
-                    "provenance verified but build_template_plan refused the "
-                    "factorization"
-                )
-            else:
-                if template_plan.max_magnitude != plan.max_magnitude:
-                    report.issues.append(
-                        "template plan and layer plan disagree on "
-                        f"max_magnitude ({template_plan.max_magnitude} != "
-                        f"{plan.max_magnitude})"
-                    )
-                if template_plan.int64_safe != plan.int64_safe:
-                    report.issues.append(
-                        "template plan and layer plan disagree on int64_safe"
-                    )
-                report.issues.extend(_template_plan_issues(template_plan))
+        refused = plan.covered_gates != report.info.get("covered_gates", 0)
+        if blocks and not prov_issues and refused:
+            report.issues.append(
+                "provenance verified but build_template_plan refused the "
+                "factorization"
+            )
+        report.issues.extend(_plan_issues(plan))
 
     return report

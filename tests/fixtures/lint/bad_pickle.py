@@ -3,7 +3,7 @@
 import threading
 
 
-class _MatrixProgram:
+class _SegmentProgram:
     def __init__(self, layers, path):
         self.layers = layers
         self.select = lambda row: row[0]

@@ -5,7 +5,7 @@ def _first_column(row):
     return row[0]
 
 
-class _MatrixProgram:
+class _SegmentProgram:
     def __init__(self, layers, path):
         self.layers = layers
         self.select = _first_column  # module-level function pickles fine

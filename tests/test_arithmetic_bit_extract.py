@@ -11,7 +11,7 @@ from repro.arithmetic.bit_extract import (
     plan_full_extraction,
 )
 from repro.circuits.builder import CircuitBuilder
-from repro.circuits.simulator import CompiledCircuit
+from repro.circuits.simulator import simulate
 from repro.util.bits import bits
 
 
@@ -21,7 +21,7 @@ def evaluate_extraction(weights, values, n_bits=None):
     inputs = builder.allocate_inputs(len(weights))
     nodes = build_full_extraction(builder, list(zip(inputs, weights)), n_bits=n_bits)
     circuit = builder.build()
-    node_values = CompiledCircuit(circuit).evaluate(np.array(values)).node_values
+    node_values = simulate(circuit, np.array(values)).node_values
     out = 0
     for position, node in enumerate(nodes):
         if node is not None:
@@ -35,8 +35,8 @@ class TestKthMsb:
         (x,) = builder.allocate_inputs(1)
         node = build_kth_msb(builder, [(x, 1)], l=1, k=1)
         circuit = builder.build()
-        assert CompiledCircuit(circuit).evaluate(np.array([1])).node_values[node] == 1
-        assert CompiledCircuit(circuit).evaluate(np.array([0])).node_values[node] == 0
+        assert simulate(circuit, np.array([1])).node_values[node] == 1
+        assert simulate(circuit, np.array([0])).node_values[node] == 0
 
     def test_gate_count_matches_lemma(self):
         # Lemma 3.1: 2^k + 1 gates for the k-th most significant bit.
@@ -59,11 +59,10 @@ class TestKthMsb:
         terms = [(i, 1) for i in inputs]
         nodes = {k: build_kth_msb(builder, terms, l=3, k=k) for k in (1, 2, 3)}
         circuit = builder.build()
-        compiled = CompiledCircuit(circuit)
         for value in range(2 ** 7):
             assignment = np.array([(value >> i) & 1 for i in range(7)])
             popcount = int(assignment.sum())
-            node_values = compiled.evaluate(assignment).node_values
+            node_values = simulate(circuit, assignment).node_values
             recovered = sum(int(node_values[nodes[k]]) << (3 - k) for k in (1, 2, 3))
             assert recovered == popcount
 

@@ -12,7 +12,7 @@ from repro.arithmetic.product import (
 )
 from repro.arithmetic.signed import BinaryNumber, SignedBinaryNumber
 from repro.circuits.builder import CircuitBuilder
-from repro.circuits.simulator import CompiledCircuit
+from repro.circuits.simulator import simulate
 from repro.util.encoding import encode_integer
 
 
@@ -49,7 +49,7 @@ class TestUnsignedProduct:
                 circuit = builder.build()
                 if circuit.size == 0:
                     assert x * y == 0 or len(handles) == 1
-                node_values = CompiledCircuit(circuit).evaluate(assignment).node_values
+                node_values = simulate(circuit, assignment).node_values
                 assert rep.value(node_values) == x * y
 
     def test_three_factor_cases(self, rng):
@@ -58,7 +58,7 @@ class TestUnsignedProduct:
             builder = CircuitBuilder()
             handles, assignment = unsigned_inputs(builder, [x, y, z], 3)
             rep = build_unsigned_product_rep(builder, handles)
-            node_values = CompiledCircuit(builder.build()).evaluate(assignment).node_values
+            node_values = simulate(builder.build(), assignment).node_values
             assert rep.value(node_values) == x * y * z
 
     def test_gate_count_is_product_of_bit_counts(self):
@@ -112,7 +112,7 @@ class TestSignedProduct:
         if circuit.size == 0:
             assert result.value({w: int(v) for w, v in enumerate(assignment)}) == expected
             return
-        node_values = CompiledCircuit(circuit).evaluate(assignment).node_values
+        node_values = simulate(circuit, assignment).node_values
         assert result.value(node_values) == expected
 
     def test_count_matches_build(self):
@@ -145,7 +145,7 @@ class TestSignedProduct:
         for v in values:
             expected *= v
         node_values = (
-            CompiledCircuit(circuit).evaluate(assignment).node_values
+            simulate(circuit, assignment).node_values
             if circuit.size
             else {w: int(v) for w, v in enumerate(assignment)}
         )

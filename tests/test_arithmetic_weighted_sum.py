@@ -14,7 +14,7 @@ from repro.arithmetic.weighted_sum import (
     split_signed_terms,
 )
 from repro.circuits.builder import CircuitBuilder
-from repro.circuits.simulator import CompiledCircuit
+from repro.circuits.simulator import simulate
 from repro.util.encoding import MatrixEncoding
 
 
@@ -91,7 +91,7 @@ class TestSignedSum:
         items = [(h.to_signed_value(), w) for h, w in zip(handles, weights)]
         result = build_signed_sum(builder, items)
         circuit = builder.build()
-        node_values = CompiledCircuit(circuit).evaluate(assignment).node_values
+        node_values = simulate(circuit, assignment).node_values
         expected = sum(v * w for v, w in zip(values, weights))
         assert result.value(node_values) == expected
 
@@ -129,5 +129,5 @@ class TestSignedSum:
         if circuit.size == 0:
             assert all(w == 0 for w in weights)
             return
-        node_values = CompiledCircuit(circuit).evaluate(assignment).node_values
+        node_values = simulate(circuit, assignment).node_values
         assert result.value(node_values) == sum(v * w for v, w in zip(values, weights))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.circuit import ThresholdCircuit
-from repro.circuits.simulator import CompiledCircuit, simulate
+from repro.circuits.simulator import build_template_plan, simulate
 
 
 def parity_circuit(n_bits: int) -> ThresholdCircuit:
@@ -23,29 +23,26 @@ def parity_circuit(n_bits: int) -> ThresholdCircuit:
 class TestFastPath:
     def test_parity_exhaustive(self):
         circuit = parity_circuit(4)
-        compiled = CompiledCircuit(circuit)
-        assert compiled.uses_fast_path
+        assert build_template_plan(circuit).int64_safe
         for value in range(16):
             bits = np.array([(value >> i) & 1 for i in range(4)])
-            result = compiled.evaluate(bits)
+            result = simulate(circuit, bits)
             assert result.outputs[0] == bin(value).count("1") % 2
 
     def test_batch_evaluation_matches_single(self, rng):
         circuit = parity_circuit(6)
-        compiled = CompiledCircuit(circuit)
         batch = rng.integers(0, 2, size=(6, 32))
-        batched = compiled.evaluate(batch)
+        batched = simulate(circuit, batch)
         for column in range(32):
-            single = compiled.evaluate(batch[:, column])
+            single = simulate(circuit, batch[:, column])
             assert (batched.node_values[:, column] == single.node_values).all()
             assert batched.energy[column] == single.energy
 
     def test_agrees_with_slow_reference(self, rng):
         circuit = parity_circuit(5)
-        compiled = CompiledCircuit(circuit)
         for _ in range(20):
             bits = rng.integers(0, 2, size=5)
-            fast = compiled.evaluate(bits).node_values
+            fast = simulate(circuit, bits).node_values
             slow = circuit.evaluate_slow(list(bits))
             assert (fast == slow).all()
 
@@ -63,11 +60,10 @@ class TestFastPath:
 
     def test_input_validation(self):
         circuit = parity_circuit(3)
-        compiled = CompiledCircuit(circuit)
         with pytest.raises(ValueError):
-            compiled.evaluate(np.array([0, 1]))
+            simulate(circuit, np.array([0, 1]))
         with pytest.raises(ValueError):
-            compiled.evaluate(np.array([0, 1, 2]))
+            simulate(circuit, np.array([0, 1, 2]))
 
 
 class TestExactFallback:
@@ -78,11 +74,10 @@ class TestExactFallback:
         gate = builder.add_gate(inputs, [huge, -huge], huge)
         builder.set_outputs([gate])
         circuit = builder.build()
-        compiled = CompiledCircuit(circuit)
-        assert not compiled.uses_fast_path
-        assert compiled.evaluate(np.array([1, 0])).outputs[0] == 1
-        assert compiled.evaluate(np.array([1, 1])).outputs[0] == 0
-        assert compiled.evaluate(np.array([0, 1])).outputs[0] == 0
+        assert not build_template_plan(circuit).int64_safe
+        assert simulate(circuit, np.array([1, 0])).outputs[0] == 1
+        assert simulate(circuit, np.array([1, 1])).outputs[0] == 0
+        assert simulate(circuit, np.array([0, 1])).outputs[0] == 0
 
     def test_fallback_batch(self):
         builder = CircuitBuilder()
@@ -90,9 +85,8 @@ class TestExactFallback:
         gate = builder.add_gate(inputs, [1 << 70], 1)
         builder.set_outputs([gate])
         circuit = builder.build()
-        compiled = CompiledCircuit(circuit)
         batch = np.array([[0, 1]])
-        outputs = compiled.evaluate(batch).outputs
+        outputs = simulate(circuit, batch).outputs
         assert outputs.tolist() == [[0, 1]]
 
 
@@ -130,6 +124,6 @@ class TestRandomCircuitsAgainstSlowPath:
                 st.lists(st.integers(0, 1), min_size=n_inputs, max_size=n_inputs)
             )
         )
-        fast = CompiledCircuit(circuit).evaluate(inputs).node_values
+        fast = simulate(circuit, inputs).node_values
         slow = circuit.evaluate_slow(list(inputs))
         assert (fast == slow).all()

@@ -11,7 +11,7 @@ from repro.circuits.serialize import (
     circuit_to_dict,
     structural_digest,
 )
-from repro.circuits.simulator import CompiledCircuit, build_layer_plan
+from repro.circuits.simulator import build_template_plan, simulate
 from repro.circuits.store import IntVector, segment_max, segment_sum
 
 
@@ -116,13 +116,11 @@ class TestBulkAddGates:
         _bulk(circuit, [([0, 1], [huge, -huge], huge)])
         assert circuit.gates[0].weights == (huge, -huge)
         assert circuit.stats().max_abs_weight == huge
-        plan = build_layer_plan(circuit)
+        plan = build_template_plan(circuit)
         assert not plan.int64_safe
-        compiled = CompiledCircuit(circuit)
-        assert not compiled.uses_fast_path
-        values = compiled.evaluate(np.asarray([1, 0]))
+        values = simulate(circuit, np.asarray([1, 0]))
         assert values.node_values.tolist() == [1, 0, 1]  # huge*1 >= huge fires
-        values = compiled.evaluate(np.asarray([0, 1]))
+        values = simulate(circuit, np.asarray([0, 1]))
         assert values.node_values.tolist() == [0, 1, 0]
 
     def test_duplicate_merge_overflowing_int64_degrades_exactly(self):

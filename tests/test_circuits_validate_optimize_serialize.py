@@ -15,7 +15,7 @@ from repro.circuits.serialize import (
     dump_circuit,
     load_circuit,
 )
-from repro.circuits.simulator import CompiledCircuit
+from repro.circuits.simulator import simulate
 from repro.circuits.validate import validate_circuit
 
 
@@ -73,8 +73,8 @@ class TestOptimize:
         optimized, _ = deduplicate_gates(circuit)
         for _ in range(10):
             inputs = rng.integers(0, 2, size=3)
-            original = CompiledCircuit(circuit).evaluate(inputs).outputs
-            reduced = CompiledCircuit(optimized).evaluate(inputs).outputs
+            original = simulate(circuit, inputs).outputs
+            reduced = simulate(optimized, inputs).outputs
             assert (original == reduced).all()
 
     def test_dead_gate_elimination(self):
@@ -104,8 +104,8 @@ class TestSerialize:
         for _ in range(5):
             inputs = rng.integers(0, 2, size=3)
             assert (
-                CompiledCircuit(circuit).evaluate(inputs).outputs
-                == CompiledCircuit(restored).evaluate(inputs).outputs
+                simulate(circuit, inputs).outputs
+                == simulate(restored, inputs).outputs
             ).all()
 
     def test_file_roundtrip(self, tmp_path):

@@ -1,24 +1,33 @@
-"""Differential harness: every compile path must be bit-identical.
+"""Differential harness: a circuit compiles bit-identically with or without
+its provenance.
 
-The engine now has two ways to compile a circuit — the classic CSR layer
-plan and the template-streaming path (one layer plan per stamped gadget
-template, tiled across stamps) — and three backends to lower either into.
-This module is the single place where all of them are pinned against each
-other and against the gate-by-gate reference ``evaluate_slow``:
+The engine compiles one plan form — template blocks for the gates the
+circuit's provenance covers, residual runs for every other gate — into
+three backends.  A circuit whose provenance is stripped (a shallow copy
+with ``template_blocks = []``: same store, same structural hash) compiles
+every gate as residual runs.  This module is the single place where both
+are pinned against each other and against the gate-by-gate reference
+``evaluate_slow``:
 
-    {template-tiled, CSR} x {sparse, dense, exact}  (+ evaluate_slow)
+    {provenance kept, provenance stripped} x {sparse, dense, exact}
 
 on every construction family (matmul / trace / direct / naive) in every
-builder mode (banked / stamped / legacy), plus a Hypothesis-driven random
-gadget soup.  Any future change to construction, stamping or compilation
-that breaks bit-equality fails here with the offending path named.
+builder mode (banked / stamped / legacy), on the corners the plan builder
+must handle (refused provenance, weights beyond int64, zero gates), plus a
+Hypothesis-driven random gadget soup.  Any future change to construction,
+stamping or compilation that breaks bit-equality fails here with the
+offending path named.
 """
+
+import copy
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits.builder import CircuitBuilder
+from repro.circuits.circuit import ThresholdCircuit
 from repro.circuits.simulator import build_template_plan
 from repro.core.direct_circuit import build_direct_matmul_circuit
 from repro.core.matmul_circuit import build_matmul_circuit
@@ -28,20 +37,23 @@ from repro.core.naive_circuits import (
     build_naive_triangle_circuit,
 )
 from repro.core.trace_circuit import build_trace_circuit
-from repro.engine import Engine
+from repro.engine import BackendError, Engine
 from repro.engine.config import EngineConfig
 
 BACKENDS = ("sparse", "dense", "exact")
 
 
-def _template_engine() -> Engine:
-    # min_cover=0 forces the template path whenever any block exists, so the
-    # harness exercises it even on sparsely-stamped constructions.
-    return Engine(EngineConfig(template_compile=True, template_min_cover=0.0))
+def _engine() -> Engine:
+    # min_cover=0 tiles every accepted block, so the harness exercises
+    # template blocks even on sparsely-stamped constructions.
+    return Engine(EngineConfig(template_min_cover=0.0))
 
 
-def _csr_engine() -> Engine:
-    return Engine(EngineConfig(template_compile=False))
+def _stripped(circuit):
+    """The same circuit without provenance: every gate compiles as residual."""
+    stripped = copy.copy(circuit)
+    stripped.template_blocks = []
+    return stripped
 
 
 def _random_inputs(circuit, batch=4, seed=0):
@@ -49,30 +61,40 @@ def _random_inputs(circuit, batch=4, seed=0):
     return rng.integers(0, 2, size=(circuit.n_inputs, batch)).astype(np.int64)
 
 
-def assert_compile_equivalent(circuit, inputs=None, require_templates=False):
-    """All paths x backends produce the reference node values, bit for bit."""
+def _reference(circuit, inputs):
+    return np.stack(
+        [circuit.evaluate_slow(list(inputs[:, b])) for b in range(inputs.shape[1])],
+        axis=1,
+    )
+
+
+def assert_compile_equivalent(
+    circuit, inputs=None, require_templates=False, backends=BACKENDS
+):
+    """Provenance kept and stripped x backends reproduce the reference, bit for bit."""
     if inputs is None:
         inputs = _random_inputs(circuit)
-    batch = inputs.shape[1]
-    reference = np.stack(
-        [circuit.evaluate_slow(list(inputs[:, b])) for b in range(batch)], axis=1
-    )
+    reference = _reference(circuit, inputs)
     if require_templates:
-        assert build_template_plan(circuit) is not None, (
+        assert build_template_plan(circuit).covered_gates, (
             "expected template provenance on this circuit"
         )
-    template_engine = _template_engine()
-    csr_engine = _csr_engine()
-    for backend in BACKENDS:
-        for label, engine in (("template", template_engine), ("csr", csr_engine)):
-            values = engine.evaluate(circuit, inputs, backend=backend).node_values
+    # One engine per variant: both share a structural hash, so one engine
+    # would serve the stripped copy the program compiled for the original.
+    engines = {"kept": _engine(), "stripped": _engine()}
+    for backend in backends:
+        for label, variant in (("kept", circuit), ("stripped", _stripped(circuit))):
+            result = engines[label].evaluate(variant, inputs, backend=backend)
+            values = result.node_values
             assert values.shape == reference.shape
             mismatch = values != reference
             assert not mismatch.any(), (
-                f"{label} x {backend}: {int(mismatch.sum())} node values differ "
-                f"from evaluate_slow (first at index "
+                f"provenance {label} x {backend}: {int(mismatch.sum())} node "
+                f"values differ from evaluate_slow (first at index "
                 f"{np.argwhere(mismatch)[0].tolist()})"
             )
+            energy = reference[circuit.n_inputs :].sum(axis=0)
+            assert (result.energy == energy).all(), (label, backend)
 
 
 CONSTRUCTIONS = [
@@ -151,37 +173,21 @@ class TestConstructionEquivalence:
         circuit = build()
         assert_compile_equivalent(circuit, require_templates=require_templates)
 
-    def test_template_and_csr_verdicts_agree(self):
-        from repro.circuits.simulator import build_layer_plan
-
+    def test_kept_and_stripped_verdicts_agree(self):
         circuit = build_naive_matmul_circuit(3, bit_width=1, stages=2).circuit
-        template_plan = build_template_plan(circuit)
-        layer_plan = build_layer_plan(circuit)
-        assert template_plan is not None
-        assert template_plan.int64_safe == layer_plan.int64_safe
-        assert template_plan.max_magnitude == layer_plan.max_magnitude
-        assert template_plan.float64_exact == layer_plan.float64_exact
-        assert template_plan.n_nodes == layer_plan.n_nodes
-
-    def test_compile_circuit_honors_config(self):
-        from repro.engine.backends import compile_circuit
-
-        circuit = build_naive_matmul_circuit(2, bit_width=1).circuit
-        assert circuit.template_blocks
-        templated = compile_circuit(circuit, "sparse")
-        assert hasattr(templated, "segments")  # default config: template path
-        classic = compile_circuit(
-            circuit, "sparse", config=EngineConfig(template_compile=False)
-        )
-        assert hasattr(classic, "layers")  # ablation switch: CSR path
-        inputs = _random_inputs(circuit, batch=3, seed=2)
-        assert (templated.run(inputs) == classic.run(inputs)).all()
+        kept = build_template_plan(circuit)
+        stripped = build_template_plan(_stripped(circuit))
+        assert kept.covered_gates and not stripped.covered_gates
+        assert kept.int64_safe == stripped.int64_safe
+        assert kept.max_magnitude == stripped.max_magnitude
+        assert kept.float64_exact == stripped.float64_exact
+        assert kept.n_nodes == stripped.n_nodes
 
     def test_spike_trace_matches_across_paths(self):
         circuit = build_naive_matmul_circuit(2, bit_width=1).circuit
         inputs = _random_inputs(circuit, batch=3, seed=7)
-        trace_t = _template_engine().spike_trace(circuit, inputs)
-        trace_c = _csr_engine().spike_trace(circuit, inputs)
+        trace_t = _engine().spike_trace(circuit, inputs)
+        trace_c = _engine().spike_trace(_stripped(circuit), inputs)
         assert (trace_t.depths == trace_c.depths).all()
         assert (trace_t.gates_per_layer == trace_c.gates_per_layer).all()
         assert (trace_t.spikes_per_layer == trace_c.spikes_per_layer).all()
@@ -189,6 +195,57 @@ class TestConstructionEquivalence:
             trace_t.synaptic_events_per_layer == trace_c.synaptic_events_per_layer
         ).all()
         assert (trace_t.energy == trace_c.energy).all()
+
+
+class TestPlanCorners:
+    """Circuits the plan builder must lower to residual runs, still exactly."""
+
+    def test_refused_provenance_compiles_as_residual_runs(self):
+        # A parameter row pointing at the block base is a forward (or self)
+        # reference the store can never hold: the builder refuses the whole
+        # factorization, and every gate runs as a residual run.
+        circuit = build_naive_matmul_circuit(3, bit_width=1, stages=2).circuit
+        block = circuit.template_blocks[0]
+        params = np.array(block.params)
+        params[0, 0] = block.base
+        circuit.template_blocks[0] = dataclasses.replace(block, params=params)
+        assert build_template_plan(circuit).covered_gates == 0
+        assert_compile_equivalent(circuit)
+
+    def test_huge_weights_without_provenance(self):
+        # Weights beyond int64 and no provenance at all: the residual plan
+        # carries the exact magnitude, so auto picks exact and the sparse and
+        # dense backends refuse.
+        big = 1 << 70
+        builder = CircuitBuilder(name="huge-residual")
+        inputs = builder.allocate_inputs(3)
+        low = builder.add_gate(inputs, [1, 1, 1], 2)
+        high = builder.add_gate([inputs[0], low], [big, -big], 1)
+        out = builder.add_gate([high, inputs[2]], [big + 1, -big], 1)
+        builder.set_outputs([out])
+        circuit = builder.build()
+        assert not circuit.template_blocks
+        plan = build_template_plan(circuit)
+        assert not plan.int64_safe and plan.covered_gates == 0
+        inputs_block = _random_inputs(circuit, batch=8, seed=3)
+        engine = _engine()
+        auto = engine.evaluate(circuit, inputs_block)
+        assert engine.compile(circuit).backend_name == "exact"
+        assert (auto.node_values == _reference(circuit, inputs_block)).all()
+        assert_compile_equivalent(circuit, inputs_block, backends=("exact",))
+        for backend in ("sparse", "dense"):
+            with pytest.raises(BackendError):
+                engine.compile(circuit, backend=backend)
+
+    def test_zero_gate_circuit(self):
+        circuit = ThresholdCircuit(3, name="wires-only")
+        circuit.set_outputs([0, 2])
+        plan = build_template_plan(circuit)
+        assert plan.segments == [] and plan.max_magnitude == 0 and plan.int64_safe
+        assert_compile_equivalent(circuit)
+        result = _engine().evaluate(circuit, np.array([[1, 0], [0, 0], [1, 1]]))
+        assert result.outputs.tolist() == [[1, 0], [1, 1]]
+        assert result.energy.tolist() == [0, 0]
 
 
 class TestOverflowTemplatePath:
@@ -215,21 +272,16 @@ class TestOverflowTemplatePath:
         return builder.build()
 
     def test_overflowing_template_circuit_is_exact_and_correct(self):
-        from repro.engine.backends import BackendError
-
         circuit = self._circuit()
         plan = build_template_plan(circuit)
-        assert plan is not None and not plan.int64_safe
+        assert plan.covered_gates == circuit.size and not plan.int64_safe
         inputs = _random_inputs(circuit, batch=8, seed=5)
-        reference = np.stack(
-            [circuit.evaluate_slow(list(inputs[:, b])) for b in range(8)], axis=1
-        )
-        engine = _template_engine()
+        reference = _reference(circuit, inputs)
+        engine = _engine()
         result = engine.evaluate(circuit, inputs)  # auto resolves to exact
         assert (result.node_values == reference).all()
         program = engine.compile(circuit)
         assert program.backend_name == "exact"
-        assert hasattr(program, "segments")  # template-tiled, not gatewise
         for backend in ("sparse", "dense"):
             with pytest.raises(BackendError):
                 engine.compile(circuit, backend=backend)

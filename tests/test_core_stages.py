@@ -5,7 +5,7 @@ import pytest
 
 from repro.arithmetic.signed import SignedBinaryNumber
 from repro.circuits.builder import CircuitBuilder
-from repro.circuits.simulator import CompiledCircuit
+from repro.circuits.simulator import simulate
 from repro.core.leaf_builder import build_tree_levels, matrix_of_inputs
 from repro.core.product_stage import build_leaf_products
 from repro.core.recombine import build_product_tree
@@ -48,7 +48,7 @@ class TestLeafBuilder:
         circuit = builder.build()
 
         matrix = rng.integers(-3, 4, (n, n))
-        node_values = CompiledCircuit(circuit).evaluate(encoding.encode(matrix)).node_values
+        node_values = simulate(circuit, encoding.encode(matrix)).node_values
         for path in iter_paths(strassen.r, 2):
             expected = leaf_oracle(strassen, side, matrix, path)
             assert leaves[path].value(node_values) == expected, (side, path)
@@ -88,7 +88,7 @@ class TestProductStage:
         a = rng.integers(-3, 4, (n, n))
         b = rng.integers(-3, 4, (n, n))
         inputs = np.concatenate([enc_a.encode(a), enc_b.encode(b)])
-        node_values = CompiledCircuit(circuit).evaluate(inputs).node_values
+        node_values = simulate(circuit, inputs).node_values
         for path in iter_paths(strassen.r, 1):
             expected = leaf_oracle(strassen, "A", a, path) * leaf_oracle(strassen, "B", b, path)
             assert products[path].value(node_values) == expected
@@ -137,7 +137,7 @@ class TestRecombination:
         a = rng.integers(0, 2, (n, n))
         b = rng.integers(0, 2, (n, n))
         inputs = np.concatenate([enc_a.encode(a), enc_b.encode(b)])
-        node_values = CompiledCircuit(circuit).evaluate(inputs).node_values
+        node_values = simulate(circuit, inputs).node_values
         expected = a.astype(object) @ b.astype(object)
         for i in range(n):
             for j in range(n):
@@ -168,7 +168,7 @@ class TestRecombination:
         circuit = builder.build()
         a = rng.integers(0, 2, (n, n))
         b = rng.integers(0, 2, (n, n))
-        node_values = CompiledCircuit(circuit).evaluate(
+        node_values = simulate(circuit, 
             np.concatenate([enc_a.encode(a), enc_b.encode(b)])
         ).node_values
         expected = a.astype(object) @ b.astype(object)

@@ -6,14 +6,17 @@ gate-by-gate reference ``ThresholdCircuit.evaluate_slow`` on any circuit and
 any batch.  The Hypothesis properties below randomize both.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.energy import measure_circuit_energy
 from repro.circuits.builder import CircuitBuilder
-from repro.circuits.simulator import CompiledCircuit, build_layer_plan, simulate
+from repro.circuits.simulator import build_template_plan, simulate
 from repro.engine import (
+    ActivityPlan,
     BackendError,
     Engine,
     EngineConfig,
@@ -143,17 +146,16 @@ class TestCrossBackendEquivalence:
         result = Engine().evaluate(circuit, np.array([[1.0], [1.0]]))
         assert result.outputs[0, 0] == 1  # float64 rounding would yield 0
 
-    def test_single_vector_squeeze_matches_compiled_circuit(self, rng):
+    def test_single_vector_squeeze_matches_slow_reference(self, rng):
         circuit = parity_circuit(5)
         engine = Engine()
-        compiled = CompiledCircuit(circuit)
         for _ in range(10):
             bits = rng.integers(0, 2, size=5)
             mine = engine.evaluate(circuit, bits)
-            theirs = compiled.evaluate(bits)
-            assert mine.node_values.shape == theirs.node_values.shape
-            assert (mine.node_values == theirs.node_values).all()
-            assert mine.energy == theirs.energy
+            expected = circuit.evaluate_slow(list(bits))
+            assert mine.node_values.shape == expected.shape
+            assert (mine.node_values == expected).all()
+            assert mine.energy == expected[circuit.n_inputs :].sum()
 
     def test_empty_batch(self):
         circuit = parity_circuit(3)
@@ -281,13 +283,15 @@ class TestCompileCache:
 
 
 class TestTemplateCacheAliasing:
-    """Template and CSR compiles of one circuit must alias to one entry.
+    """Compiles of one structure must alias to one entry, provenance or not.
 
-    The cache key is (structural_hash, backend) on purpose: the two compile
-    paths produce bit-identical programs, so a ``banked=False`` (or even
-    ``vectorize=False``) rebuild of the same circuit must *hit* the entry a
-    template compile stored — not coexist beside it — and eviction under
-    ``cache_size=1`` must never hand back a program for the wrong circuit.
+    The cache key is (structural_hash, backend) on purpose: a circuit
+    compiles to bit-identical programs whether its gates run as template
+    blocks or as residual runs, so a ``banked=False`` (or even
+    ``vectorize=False``, provenance-free) rebuild of the same circuit must
+    *hit* the entry a template compile stored — not coexist beside it — and
+    eviction under ``cache_size=1`` must never hand back a program for the
+    wrong circuit.
     """
 
     @staticmethod
@@ -304,12 +308,11 @@ class TestTemplateCacheAliasing:
 
         return build_naive_matmul_circuit(n, bit_width=1, stages=2, **kwargs).circuit
 
-    def test_template_compile_then_unbanked_rebuild_hits_same_entry(self):
+    def test_template_blocks_then_unbanked_rebuild_hits_same_entry(self):
         engine = self._engine()
         banked = self._build()
         assert banked.template_blocks  # the compile below is template-tiled
         program = engine.compile(banked)
-        assert hasattr(program, "segments")  # template-tiled program form
         assert engine.compile_calls == 1
 
         stamped = self._build(banked=False)  # PR-2 ablation rebuild
@@ -321,11 +324,11 @@ class TestTemplateCacheAliasing:
         assert engine.compile_calls == 1
         assert engine.cache_info().hits == 2
 
-    def test_csr_compile_first_then_template_circuit_hits(self):
+    def test_residual_compile_first_then_template_circuit_hits(self):
         engine = self._engine()
         legacy = self._build(vectorize=False)
+        assert build_template_plan(legacy).covered_gates == 0  # residual only
         program = engine.compile(legacy)
-        assert hasattr(program, "layers")  # classic CSR program form
         banked = self._build()
         assert engine.compile(banked) is program
         assert engine.compile_calls == 1
@@ -347,16 +350,17 @@ class TestTemplateCacheAliasing:
         expected = circuit_a.evaluate_slow(list(inputs_a[:, 0]))
         assert (values[:, 0] == expected).all()
 
-    def test_template_and_csr_programs_bit_identical_for_cached_circuit(self):
-        # The aliasing above is only sound because both compile paths agree
-        # bit for bit; pin that directly on the engine entry points.
+    def test_kept_and_stripped_provenance_bit_identical_for_cached_circuit(self):
+        # The aliasing above is only sound because a circuit compiles to the
+        # same values with and without its provenance; pin that directly on
+        # the engine entry points.
         circuit = self._build()
+        stripped = copy.copy(circuit)
+        stripped.template_blocks = []
         inputs = np.ones((circuit.n_inputs, 2), dtype=np.int64)
         inputs[::2, 1] = 0
         with_templates = self._engine().evaluate(circuit, inputs)
-        without = Engine(
-            EngineConfig(backend="sparse", template_compile=False)
-        ).evaluate(circuit, inputs)
+        without = self._engine().evaluate(stripped, inputs)
         assert (with_templates.node_values == without.node_values).all()
         assert (with_templates.energy == without.energy).all()
 
@@ -421,7 +425,7 @@ class TestBackendSelection:
 
     def test_selector_is_pure_heuristic(self):
         circuit = parity_circuit(4)
-        plan = build_layer_plan(circuit)
+        plan = build_template_plan(circuit)
         stats = circuit.stats()
         assert select_backend_name(plan, stats, EngineConfig()) == "dense"
         assert (
@@ -534,30 +538,15 @@ class TestSpikingMode:
     def test_trace_pure_function_of_node_values(self, rng):
         circuit = parity_circuit(5)
         batch = rng.integers(0, 2, size=(5, 7))
-        plan = build_layer_plan(circuit)
-        node_values = CompiledCircuit(circuit).evaluate(batch).node_values
+        plan = ActivityPlan.from_circuit(circuit)
+        node_values = Engine().evaluate(circuit, batch, backend="exact").node_values
         trace = compute_spike_trace(plan, node_values)
         assert (trace.energy == Engine().evaluate(circuit, batch).energy).all()
         with pytest.raises(ValueError):
             compute_spike_trace(plan, node_values[:-1, :])
 
 
-class TestCompiledCircuitFix:
-    def test_unsafe_circuit_keeps_no_layer_matrices(self):
-        # Satellite fix: a huge weight in a *later* layer must not leave
-        # earlier layers holding compiled sparse matrices.
-        builder = CircuitBuilder()
-        inputs = builder.allocate_inputs(2)
-        safe = builder.add_gate(inputs, [1, 1], 1)  # layer 1: safe
-        huge = builder.add_gate([safe], [1 << 70], 1)  # layer 2: overflows
-        builder.set_outputs([huge])
-        circuit = builder.build()
-        compiled = CompiledCircuit(circuit)
-        assert not compiled.uses_fast_path
-        assert all(layer["matrix"] is None for layer in compiled._layers)
-        # ...and evaluation still works through the exact path.
-        assert compiled.evaluate(np.array([1, 0])).outputs[0] == 1
-
+class TestSimulateWrapper:
     def test_simulate_wrapper_routes_through_engine(self):
         previous = set_default_engine(None)
         try:
@@ -572,6 +561,37 @@ class TestCompiledCircuitFix:
             assert mine.compile_calls == 1
         finally:
             set_default_engine(previous)
+
+
+@pytest.fixture(scope="module")
+def trace8():
+    from repro.core.trace_circuit import build_trace_circuit
+
+    return build_trace_circuit(8, 42, bit_width=1).circuit
+
+
+class TestRunMemory:
+    @pytest.mark.parametrize("backend", ["sparse", "dense"])
+    def test_residual_layers_stay_within_node_buffer(self, trace8, backend):
+        # Residual layers run one matrix product per layer and never build a
+        # (wires, batch) temporary.  The trace circuit's last residual layer
+        # is one gate over 78,464 wires against 119,465 nodes, so a per-wire
+        # gather alone would cost two thirds of the node buffer.
+        import tracemalloc
+
+        batch = 16
+        inputs = np.random.default_rng(0).integers(
+            0, 2, size=(trace8.n_inputs, batch)
+        ).astype(np.int8)
+        program = Engine(EngineConfig(backend=backend)).compile(trace8)
+        tracemalloc.start()
+        try:
+            program.run(inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        node_buffer = trace8.n_nodes * batch * 8
+        assert peak <= 1.5 * node_buffer, peak / node_buffer
 
 
 class TestZeroWidthBatches:
@@ -701,10 +721,10 @@ class TestActivityPlanMemoization:
             EngineConfig(backend="sparse", template_min_cover=0.0)
         )
         entry = engine._entry(circuit)
-        assert entry.activity is None  # template compile: no global plan
+        before = dict(vars(entry))
         batch = rng.integers(0, 2, size=(circuit.n_inputs, 2))
         engine.spike_trace(circuit, batch)
-        assert entry.activity is None
+        assert vars(entry) == before
         assert circuit.structural_hash() in engine._activity_plans
 
     def test_clear_cache_drops_memoized_plans(self, rng):
@@ -756,8 +776,8 @@ class TestTelemetry:
         assert other.metrics.value("sentinel") == 1
 
     def test_plan_memo_counters(self, rng):
-        # Template-streaming compiles build the activity plan lazily (CSR
-        # entries carry it), so force the template path to exercise the memo.
+        # The engine builds the activity plan lazily on the first trace and
+        # memoizes it by structural hash.
         from repro.core.naive_circuits import build_naive_matmul_circuit
 
         circuit = build_naive_matmul_circuit(3, bit_width=1, stages=2).circuit

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.optimize import deduplicate_gates, eliminate_dead_gates
-from repro.circuits.simulator import CompiledCircuit
+from repro.circuits.simulator import simulate
 from repro.circuits.validate import validate_circuit
 from repro.core import (
     build_matmul_circuit,
@@ -65,9 +65,8 @@ class TestMatmulPipeline:
         expected = original.evaluate(a, b)
 
         deduped, node_map = deduplicate_gates(original.circuit)
-        compiled = CompiledCircuit(deduped)
         inputs = original.encode_pairs([(a, b)])[:, 0]
-        node_values = compiled.evaluate(inputs).node_values
+        node_values = simulate(deduped, inputs).node_values
         for i in range(n):
             for j in range(n):
                 entry = original.entries[i, j]
@@ -88,7 +87,7 @@ class TestMatmulPipeline:
         a = random_integer_matrix(n, 1, rng=rng)
         b = random_integer_matrix(n, 1, rng=rng)
         inputs = original.encode_pairs([(a, b)])[:, 0]
-        node_values = CompiledCircuit(pruned).evaluate(inputs).node_values
+        node_values = simulate(pruned, inputs).node_values
         expected = a.astype(object) @ b.astype(object)
         for i in range(n):
             for j in range(n):

@@ -20,7 +20,7 @@ from repro.circuits.builder import CircuitBuilder
 from repro.circuits.counting import CountingBuilder
 from repro.circuits.optimize import deduplicate_gates, eliminate_dead_gates
 from repro.circuits.serialize import circuit_from_dict, circuit_to_dict
-from repro.circuits.simulator import CompiledCircuit
+from repro.circuits.simulator import simulate
 from repro.core.schedule import constant_depth_schedule, loglog_schedule
 from repro.fastmm.catalog import available_algorithms, get_algorithm
 from repro.fastmm.compose import compose
@@ -84,11 +84,9 @@ class TestOptimizerProperties:
         circuit = draw_random_circuit(data)
         optimized, _ = deduplicate_gates(circuit)
         assert optimized.size <= circuit.size
-        original = CompiledCircuit(circuit)
-        reduced = CompiledCircuit(optimized)
         for assignment in all_assignments(circuit.n_inputs):
             assert (
-                original.evaluate(assignment).outputs == reduced.evaluate(assignment).outputs
+                simulate(circuit, assignment).outputs == simulate(optimized, assignment).outputs
             ).all()
 
     @settings(max_examples=25, deadline=None)
@@ -97,11 +95,9 @@ class TestOptimizerProperties:
         circuit = draw_random_circuit(data)
         pruned, _ = eliminate_dead_gates(circuit)
         assert pruned.size <= circuit.size
-        original = CompiledCircuit(circuit)
-        reduced = CompiledCircuit(pruned)
         for assignment in all_assignments(circuit.n_inputs):
             assert (
-                original.evaluate(assignment).outputs == reduced.evaluate(assignment).outputs
+                simulate(circuit, assignment).outputs == simulate(pruned, assignment).outputs
             ).all()
 
 
@@ -114,11 +110,9 @@ class TestSerializationProperties:
         assert restored.n_inputs == circuit.n_inputs
         assert restored.size == circuit.size
         assert restored.outputs == circuit.outputs
-        original = CompiledCircuit(circuit)
-        copy = CompiledCircuit(restored)
         for assignment in all_assignments(circuit.n_inputs):
             assert (
-                original.evaluate(assignment).node_values == copy.evaluate(assignment).node_values
+                simulate(circuit, assignment).node_values == simulate(restored, assignment).node_values
             ).all()
 
 

@@ -8,6 +8,7 @@ runtime code.  The suite also pins the repository-wide contract: linting
 ``src/repro`` itself reports nothing.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -83,7 +84,7 @@ class TestRuleDetails:
 
     def test_rep005_registry_drives_the_rule(self):
         bad = (FIXTURES / "bad_pickle.py").read_text()
-        renamed = bad.replace("_MatrixProgram", "FreeClass")
+        renamed = bad.replace("_SegmentProgram", "FreeClass")
         assert lint_source(bad, "x.py", select=["REP005"])
         assert not lint_source(renamed, "x.py", select=["REP005"])
 
@@ -129,6 +130,25 @@ class TestRuleDetails:
         backends_src = (SRC / "engine" / "backends.py").read_text()
         for name in POOL_BOUNDARY_CLASSES:
             assert f"class {name}" in backends_src, name
+
+    def test_every_program_class_is_registered(self):
+        # The converse: a class in the backends module that defines ``run``
+        # is a program shipped to workers, so a renamed or added one must
+        # join the registry or the pickle rule stops guarding it.
+        tree = ast.parse((SRC / "engine" / "backends.py").read_text())
+        programs = {
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            and any(
+                isinstance(item, ast.FunctionDef) and item.name == "run"
+                for item in node.body
+            )
+            # The CompiledProgram protocol declares run but is never shipped.
+            and not any(getattr(base, "id", None) == "Protocol" for base in node.bases)
+        }
+        assert programs, "no program classes found in engine/backends.py"
+        assert programs <= POOL_BOUNDARY_CLASSES, programs - POOL_BOUNDARY_CLASSES
 
 
 class TestRepositoryContract:

@@ -4,7 +4,7 @@ Three pillars, per the static-analysis design:
 
 * **Golden constructions** — every circuit pinned in
   ``tests/fixtures/golden_counts.json`` verifies clean, and the verifier's
-  overflow verdict agrees with :func:`build_layer_plan` exactly.
+  overflow verdict agrees with :func:`build_template_plan` exactly.
 * **Hypothesis differential** — on random gadget soups the abstract
   interpretation's per-gate intervals always contain the accumulator
   values actually observed under random inputs, its magnitude bound never
@@ -16,6 +16,7 @@ Three pillars, per the static-analysis design:
   and by the engine's ``verify_compile`` debug gate).
 """
 
+import copy
 import dataclasses
 import io
 import json
@@ -29,10 +30,11 @@ from test_golden_counts import CASES
 
 from repro.circuits.circuit import ThresholdCircuit
 from repro.circuits.serialize import circuit_to_dict, dump_circuit, load_circuit
-from repro.circuits.simulator import build_layer_plan
+from repro.circuits.simulator import ResidualSegment, build_template_plan
 from repro.circuits.store import segment_sum
 from repro.circuits.validate import validate_circuit
 from repro.cli import main as cli_main
+from repro.statics.verifier import _plan_issues
 from repro.engine import Engine, EngineConfig
 from repro.statics import (
     StaticReport,
@@ -74,7 +76,7 @@ class TestGoldenConstructions:
         circuit = CASES[name]()
         report = verify_circuit(circuit, target=name)
         assert report.ok, report.issues
-        plan = build_layer_plan(circuit)
+        plan = build_template_plan(circuit)
         assert report.info["max_magnitude"] == plan.max_magnitude
         assert report.info["int64_safe"] == plan.int64_safe
         assert report.info["float64_exact"] == plan.float64_exact
@@ -109,7 +111,7 @@ class TestDifferential:
             return
         report = verify_circuit(circuit, target="soup")
         assert report.ok, report.issues
-        plan = build_layer_plan(circuit)
+        plan = build_template_plan(circuit)
         assert report.info["max_magnitude"] == plan.max_magnitude
         assert report.info["int64_safe"] == plan.int64_safe
 
@@ -151,7 +153,7 @@ class TestDifferential:
         circuit.set_outputs([gate])
         report = verify_circuit(circuit)
         assert report.ok, report.issues
-        plan = build_layer_plan(circuit)
+        plan = build_template_plan(circuit)
         assert report.info["int64_safe"] is False
         assert plan.int64_safe is False
         assert report.info["max_magnitude"] == plan.max_magnitude == 2**63 + 1
@@ -290,6 +292,83 @@ class TestProvenance:
         # A one-gate shift must break *something* — fan-ins, weights,
         # thresholds or sources no longer re-derive at the shifted range.
         assert provenance_issues(circuit)
+
+
+# --------------------------------------------------------------------------- #
+# Plan checks: the one compiled plan form must be well-formed.
+# --------------------------------------------------------------------------- #
+
+
+class TestPlanChecks:
+    @staticmethod
+    def _plan():
+        # Strassen n=4 mixes template blocks with multi-layer residual runs.
+        circuit = CASES["matmul-strassen-n4-b1"]()
+        plan = build_template_plan(circuit)
+        assert plan.covered_gates and any(
+            isinstance(segment, ResidualSegment) and len(segment.layers) > 1
+            for segment in plan.segments
+        )
+        return circuit, plan
+
+    @staticmethod
+    def _first_residual(plan):
+        return next(s for s in plan.segments if isinstance(s, ResidualSegment))
+
+    def test_clean_plan_has_no_issues(self):
+        _, plan = self._plan()
+        assert _plan_issues(plan) == []
+
+    def test_repeated_layer_detected(self):
+        _, plan = self._plan()
+        segment = self._first_residual(plan)
+        segment.layers.append(segment.layers[-1])
+        issues = _plan_issues(plan)
+        assert any("does not strictly increase" in issue for issue in issues)
+        assert any("exactly once" in issue for issue in issues)
+
+    def test_out_of_range_ids_detected(self):
+        _, plan = self._plan()
+        layer = self._first_residual(plan).layers[0]
+        layer.cols = layer.cols.copy()
+        layer.cols[0] = plan.n_nodes
+        layer.nodes = layer.nodes.copy()
+        layer.nodes[0] = plan.n_inputs - 1
+        issues = _plan_issues(plan)
+        assert any("reads sources outside" in issue for issue in issues)
+        assert any("holds node ids outside" in issue for issue in issues)
+
+    def test_bad_offsets_detected(self):
+        _, plan = self._plan()
+        layer = self._first_residual(plan).layers[0]
+        layer.offsets = layer.offsets[:-1]
+        assert any("offsets do not partition" in i for i in _plan_issues(plan))
+
+    def test_shifted_block_detected(self):
+        _, plan = self._plan()
+        index, block = next(
+            (i, s)
+            for i, s in enumerate(plan.segments)
+            if not isinstance(s, ResidualSegment)
+        )
+        plan.segments[index] = dataclasses.replace(block, base=int(block.base) + 1)
+        assert any("tiling cursor" in i for i in _plan_issues(plan))
+
+    def test_refused_provenance_reported(self, monkeypatch):
+        # Provenance the provenance pass verified must be accepted by the
+        # plan builder; a builder that drops it is reported, not hidden.
+        import repro.statics.verifier as verifier
+
+        circuit, _ = self._plan()
+
+        def residual_only(target, min_cover=0.0):
+            bare = copy.copy(target)
+            bare.template_blocks = []
+            return build_template_plan(bare)
+
+        monkeypatch.setattr(verifier, "build_template_plan", residual_only)
+        report = verify_circuit(circuit)
+        assert any("refused the factorization" in i for i in report.issues)
 
 
 # --------------------------------------------------------------------------- #
