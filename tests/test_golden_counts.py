@@ -53,7 +53,51 @@ CASES = {
     "direct-matmul-n4-b1-stages2": lambda: build_direct_matmul_circuit(
         4, bit_width=1, stages=2
     ).circuit,
+    # Bit width 2 is the default at n=3 and n=4.
+    "matmul-strassen-n4-d1": lambda: build_matmul_circuit(
+        4, depth_parameter=1
+    ).circuit,
+    "trace-strassen-d2-n4-tau10": lambda: build_trace_circuit(
+        4, 10, depth_parameter=2
+    ).circuit,
+    "trace-strassen-d2-n4-tau7": lambda: build_trace_circuit(
+        4, 7, depth_parameter=2
+    ).circuit,
+    "naive-trace-n3-tau5": lambda: build_naive_trace_circuit(3, 5).circuit,
+    "naive-matmul-n4-stages2": lambda: build_naive_matmul_circuit(
+        4, stages=2
+    ).circuit,
+    "direct-matmul-n4-stages2": lambda: build_direct_matmul_circuit(
+        4, stages=2
+    ).circuit,
+    # The differential harness's construction families.
+    "naive-matmul-n3-b1-stages2": lambda: build_naive_matmul_circuit(
+        3, bit_width=1, stages=2
+    ).circuit,
+    "naive-trace-n3-b1-tau1": lambda: build_naive_trace_circuit(
+        3, tau=1, bit_width=1
+    ).circuit,
+    "naive-triangles-n5-tau2": lambda: build_naive_triangle_circuit(5, tau=2).circuit,
+    "matmul-strassen-n2-b1": lambda: build_matmul_circuit(2, bit_width=1).circuit,
+    "trace-strassen-n2-b1-tau0": lambda: build_trace_circuit(
+        2, tau=0, bit_width=1
+    ).circuit,
+    "direct-matmul-n2-b1-stages2": lambda: build_direct_matmul_circuit(
+        2, bit_width=1, stages=2
+    ).circuit,
 }
+CASES.update(
+    {
+        f"matmul-strassen-n{n}-b{bw}-d1-stages{s}": (
+            lambda n=n, bw=bw, s=s: build_matmul_circuit(
+                n, bit_width=bw, depth_parameter=1, stages=s
+            ).circuit
+        )
+        for n in (2, 4)
+        for bw in (1, 2)
+        for s in (1, 2)
+    }
+)
 
 
 def _golden_row(circuit) -> dict:
