@@ -11,13 +11,15 @@ strategy is far worse.  Two views are reported:
 * exact dry-run counts of full trace circuits at a small N, where the
   product stage still dominates, as the finite-size counterpart.
 
-A second benchmark measures what builder-level structural gate sharing buys
-on a constructed circuit.
+A second benchmark measures what structural gate sharing buys on a
+constructed circuit: the ``deduplicate_gates`` post-pass merges gates with
+equal sources, weights and threshold.
 """
 
 from fractions import Fraction
 
 from benchmarks.conftest import report
+from repro.circuits.optimize import deduplicate_gates
 from repro.core import build_trace_circuit, count_trace_circuit
 from repro.core.gate_count_model import _leaf_stage_estimate
 from repro.core.schedule import (
@@ -97,20 +99,19 @@ def test_e13_schedule_ablation_exact_small_n(benchmark):
 
 def test_e13_gate_sharing_ablation(benchmark):
     def compute_rows():
-        rows = []
-        for share in (False, True):
-            circuit = build_trace_circuit(8, 10, bit_width=1, depth_parameter=3, share_gates=share)
-            rows.append(
-                {
-                    "gate sharing": share,
-                    "gates": circuit.circuit.size,
-                    "edges": circuit.circuit.edges,
-                    "depth": circuit.circuit.depth,
-                }
-            )
-        return rows
+        built = build_trace_circuit(8, 10, bit_width=1, depth_parameter=3).circuit
+        shared, _ = deduplicate_gates(built)
+        return [
+            {
+                "gate sharing": share,
+                "gates": circuit.size,
+                "edges": circuit.edges,
+                "depth": circuit.depth,
+            }
+            for share, circuit in ((False, built), (True, shared))
+        ]
 
     rows = benchmark.pedantic(compute_rows, rounds=1, iterations=1)
-    report("E13: structural gate sharing (builder-level dedup) at N=8", rows)
+    report("E13: structural gate sharing (deduplicate_gates post-pass) at N=8", rows)
     assert rows[1]["gates"] <= rows[0]["gates"]
     assert rows[1]["depth"] == rows[0]["depth"]

@@ -16,7 +16,7 @@ Both programs must be bit-identical on a probe batch; the headline case
 historical column names: ``csr_s`` is the stripped side.
 
 Rows follow the bench_e* convention and are written to ``BENCH_e17.json``
-at the repository root (uploaded by CI alongside e15/e16).  Set
+at the repository root (uploaded by CI).  Set
 ``E17_QUICK=1`` for the CI-sized quick mode.
 """
 

@@ -24,7 +24,7 @@ headline case (repeated n=32 matmul queries) must run at least 5x faster
 through the service than through the per-call pool; a pipelined row
 (all queries submitted before the first result is collected) is reported
 alongside.  Rows go to ``BENCH_e18.json`` at the repository root (uploaded
-by CI next to e15/e16/e17).  Set ``E18_QUICK=1`` for the CI-sized quick
+by CI next to e17).  Set ``E18_QUICK=1`` for the CI-sized quick
 mode.
 """
 

@@ -18,7 +18,7 @@ keep that honest:
   as a number, not a feeling.
 
 Rows go to ``BENCH_e20.json`` at the repository root (uploaded by CI next
-to e15–e19).  Set ``E20_QUICK=1`` for the CI-sized quick mode.
+to e17–e19).  Set ``E20_QUICK=1`` for the CI-sized quick mode.
 """
 
 import json

@@ -23,7 +23,7 @@ than the cold pipeline; measured headroom on the reference machine is
 roughly 10x beyond the floor.
 
 Rows follow the bench_e* convention and are written to ``BENCH_e21.json``
-at the repository root (uploaded by CI alongside e15–e20).  Set
+at the repository root (uploaded by CI alongside e17–e20).  Set
 ``E21_QUICK=1`` for the CI-sized quick mode.
 """
 

@@ -82,11 +82,11 @@ def build_kth_msb(
         getattr(builder, "stamper", None) is not None
         or getattr(builder, "prefers_bulk", False)
     ):
-        # Dry-run shortcut (vectorized counting only): the bank's shape is
-        # known in closed form — m interval gates over the merged source row
-        # plus one select gate — so neither wires, weights nor thresholds
-        # are ever materialized.  ``np.unique`` mirrors the canonical
-        # duplicate-source merge of the real builder.
+        # Dry-run shortcut (counting builders and wireless recorders): the
+        # bank's shape is known in closed form — m interval gates over the
+        # merged source row plus one select gate — so neither wires, weights
+        # nor thresholds are ever materialized.  ``np.unique`` mirrors the
+        # canonical duplicate-source merge of the real builder.
         if terms:
             unique = np.unique(
                 np.fromiter((n for n, _ in terms), dtype=np.int64, count=len(terms))

@@ -99,10 +99,10 @@ def build_ge_comparison_banks(
     ``values`` are single-row bank views in emission order (the trace
     circuit's leaf products); their positive and negative terms are
     concatenated by arrays instead of materializing one giant ``Rep``.  The
-    legacy path sorts and merges the combined terms (``Rep.from_terms``);
-    stamped banks emit their gates in ascending id order, so the
-    concatenation is already sorted — this is verified, and any violation
-    (or an override row) falls back to the exact scalar assembly.
+    exact scalar assembly sorts and merges the combined terms
+    (``Rep.from_terms``); stamped banks emit their gates in ascending id
+    order, so the concatenation is already sorted — this is verified, and
+    any violation (or an override row) falls back to the scalar assembly.
     """
     values = list(values)
     pos_nodes: List[np.ndarray] = []

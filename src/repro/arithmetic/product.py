@@ -96,9 +96,8 @@ def build_signed_product(
     combination is an unsigned product contributing to the positive or
     negative part of the result according to the parity of minus signs.
 
-    On a vectorizing builder the gadget is emitted via template stamping
-    (:func:`build_signed_products` with a single instance); otherwise the
-    classic per-gate path runs.
+    The gadget is emitted through :func:`build_signed_products` with a
+    single instance.
     """
     return build_signed_products(builder, [factors], tag=tag)[0]
 
@@ -119,12 +118,6 @@ def build_signed_products(
     for factors in factors_list:
         if not factors:
             raise ValueError("a product needs at least one factor")
-    stamper = getattr(builder, "stamper", None)
-    if stamper is None:
-        return [
-            _build_signed_product_direct(builder, factors, tag)
-            for factors in factors_list
-        ]
     layouts = [
         tuple((f.pos.bit_positions, f.neg.bit_positions) for f in factors)
         for factors in factors_list
@@ -155,7 +148,9 @@ def build_signed_products(
             return _build_signed_product_direct(builder, group[i], tag)
 
         results.extend(
-            stamper.stamp_all(key, n_params, params_list, emit_template, emit_legacy)
+            builder.stamper.stamp_all(
+                key, n_params, params_list, emit_template, emit_legacy
+            )
         )
         start = end
     return results
@@ -164,7 +159,7 @@ def build_signed_products(
 def _product_template_emitter(layout, tag):
     """Template recorder for a signed product with the given bit layout.
 
-    Shared by the scalar grouping path and the banked path, so both record
+    Shared by the grouping path and the banked path, so both record
     byte-identical templates under the same key.
     """
 
@@ -262,7 +257,10 @@ def _build_signed_product_direct(
     factors: Sequence[SignedBinaryNumber],
     tag: str,
 ) -> SignedValue:
-    """The classic emission of one signed product."""
+    """Emit one signed product gate by gate.
+
+    Records templates, and emits the copies the stamper does not stamp.
+    """
     pos_terms: List[Tuple[int, int]] = []
     neg_terms: List[Tuple[int, int]] = []
     choices = [((f.pos, +1), (f.neg, -1)) for f in factors]

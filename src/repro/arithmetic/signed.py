@@ -333,9 +333,9 @@ class SignedValueBank:
 
     ``overrides`` maps row indices to scalar values (``SignedValue`` or
     ``SignedBinaryNumber``) for the rare rows that the template stamper had
-    to emit through the legacy path with a *different* layout (duplicated
-    parameters merge gates); those rows' entries in the node matrices are
-    meaningless.  Consumers either go through :meth:`signed_value` /
+    to emit directly with a *different* layout (duplicated parameters merge
+    gates); those rows' entries in the node matrices are meaningless.
+    Consumers either go through :meth:`signed_value` /
     :meth:`signed_binary` (override-aware) or require a clean bank.
     """
 
@@ -480,7 +480,7 @@ class SignedValueBank:
 
     @staticmethod
     def from_scalars(values: Sequence[object]) -> "SignedValueBank":
-        """Bank a list of scalar values emitted by the legacy path.
+        """Bank a list of directly emitted scalar values.
 
         Rows whose layout matches the first value's are packed into the node
         matrices; any non-conforming row becomes an override.  Supports

@@ -145,9 +145,8 @@ def build_signed_sum(
     ``2 * stages``) layers of the circuit; the construction adds no depth for
     sign handling, exactly as argued in Section 3.
 
-    On a vectorizing builder the gadget is emitted via template stamping
-    (:func:`build_signed_sums` with a single instance); otherwise the classic
-    per-gate path runs.
+    The gadget is emitted through :func:`build_signed_sums` with a single
+    instance.
     """
     return build_signed_sums(builder, [items], n_bits=n_bits, stages=stages, tag=tag)[0]
 
@@ -170,12 +169,6 @@ def build_signed_sums(
     :func:`build_signed_sum` in a loop.
     """
     split = [split_signed_terms(items) for items in items_list]
-    stamper = getattr(builder, "stamper", None)
-    if stamper is None:
-        return [
-            _build_signed_sum_direct(builder, pos, neg, n_bits, stages, tag)
-            for pos, neg in split
-        ]
     results: List[SignedBinaryNumber] = []
     start = 0
     while start < len(split):
@@ -202,7 +195,9 @@ def build_signed_sums(
             return _build_signed_sum_direct(builder, pos, neg, n_bits, stages, tag)
 
         results.extend(
-            stamper.stamp_all(key, n_params, params_list, emit_template, emit_legacy)
+            builder.stamper.stamp_all(
+                key, n_params, params_list, emit_template, emit_legacy
+            )
         )
         start = end
     return results
@@ -216,7 +211,10 @@ def _build_signed_sum_direct(
     stages: int,
     tag: str,
 ) -> SignedBinaryNumber:
-    """The classic emission of one signed sum from its split halves."""
+    """Emit one signed sum from its split halves, gate by gate.
+
+    Records templates, and emits the copies the stamper does not stamp.
+    """
     pos = build_unsigned_sum(builder, pos_terms, n_bits=n_bits, stages=stages, tag=f"{tag}/pos")
     neg = build_unsigned_sum(builder, neg_terms, n_bits=n_bits, stages=stages, tag=f"{tag}/neg")
     return SignedBinaryNumber(pos, neg)
@@ -225,7 +223,7 @@ def _build_signed_sum_direct(
 def _signed_sum_template_emitter(pos_w, neg_w, n_bits, stages, tag):
     """Template recorder for a signed sum with the given weight signature.
 
-    Shared by the scalar grouping path and the banked path, so both record
+    Shared by the grouping path and the banked path, so both record
     byte-identical templates under the same key.
     """
 
@@ -339,7 +337,7 @@ def build_signed_sum_banks(
         raise ValueError("cannot emit an empty sum batch")
     if any(bank.overrides for bank, _, _ in live):
         # Override rows have per-row layouts: materialize and take the
-        # scalar grouping path (identical stream, just slower).
+        # grouping path (identical stream, just slower).
         items_list = [
             [
                 (bank.signed_value(int(r)), coeff)

@@ -8,13 +8,7 @@ conveniences on top of :class:`~repro.circuits.circuit.ThresholdCircuit`:
 * a bulk emission API (:meth:`CircuitBuilder.add_gates`) accepting CSR-style
   numpy arrays, and a :class:`~repro.circuits.template.GadgetStamper` that
   lets gadget constructors stamp many translated copies of a recorded
-  template in one call — the vectorized construction path,
-* optional *structural sharing*: when ``share_gates=True`` a gate that is
-  structurally identical to an existing one (same sources, weights and
-  threshold) is reused instead of duplicated.  The paper's constructions are
-  described without sharing; sharing is exposed so its effect can be measured
-  as an ablation.  Sharing keys are hashed byte rows of the columnar arrays,
-  not per-gate tuples,
+  template in one call,
 * per-tag gate counters, used to attribute gates to the lemma that created
   them (Lemma 3.1 interval gates, Lemma 3.3 product gates, output gates, ...).
 """
@@ -26,8 +20,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.circuits.circuit import ThresholdCircuit
-from repro.circuits.gate import canonical_parts
 from repro.circuits.store import accumulate_tag_counts
+from repro.circuits.template import GadgetStamper
 
 __all__ = ["CircuitBuilder"]
 
@@ -35,35 +29,14 @@ __all__ = ["CircuitBuilder"]
 class CircuitBuilder:
     """Builds a :class:`ThresholdCircuit` incrementally."""
 
-    def __init__(
-        self,
-        name: str = "",
-        share_gates: bool = False,
-        vectorize: bool = True,
-        banked: bool = True,
-    ) -> None:
+    def __init__(self, name: str = "") -> None:
         self._circuit = ThresholdCircuit(0, name=name)
         self._input_blocks: Dict[str, List[int]] = {}
-        self._share_gates = bool(share_gates)
-        self._gate_cache: Dict[tuple, int] = {}
         self._tag_counts: Dict[str, int] = {}
         self._constant_true: Optional[int] = None
         self._constant_false: Optional[int] = None
         self._inputs_frozen = False
-        # The gadget stamper drives the template-stamping fast path.  It is
-        # disabled under structural sharing (stamped copies would bypass the
-        # share cache and change the built circuit) and under vectorize=False
-        # (the explicit legacy per-gate path, kept for benchmarking).
-        self.stamper = None
-        if vectorize and not share_gates:
-            from repro.circuits.template import GadgetStamper
-
-            self.stamper = GadgetStamper(self)
-        # Value banks ride on top of stamping: the construction stages pass
-        # whole Rep/SignedValue batches as arrays instead of scalar objects.
-        # ``banked=False`` keeps the stamped-but-scalar interface (the PR-2
-        # intermediate, exposed as a benchmarking ablation).
-        self.use_banks = bool(banked) and self.stamper is not None
+        self.stamper = GadgetStamper(self)
 
     # --------------------------------------------------------------- protocol
     # Small duck-typed surface shared with CountingBuilder so the template
@@ -134,30 +107,9 @@ class CircuitBuilder:
     ) -> int:
         """Add a threshold gate ``sum w_i y_i >= t`` and return its node id."""
         self._inputs_frozen = True
-        if self._share_gates:
-            # Sharing path: canonicalize once and key the cache on the
-            # hashed byte row (tuple fallback for weights beyond int64).
-            sources, weights = canonical_parts(sources, weights)
-            try:
-                key = (
-                    np.asarray(sources, dtype=np.int64).tobytes(),
-                    np.asarray(weights, dtype=np.int64).tobytes(),
-                    int(threshold),
-                )
-            except OverflowError:
-                key = (sources, weights, int(threshold))
-            cached = self._gate_cache.get(key)
-            if cached is not None:
-                return cached
-            node = self._circuit.add_gate_parts(
-                sources, weights, threshold, tag, assume_canonical=True
-            )
-            self._gate_cache[key] = node
-        else:
-            # Non-sharing path: no cache-key construction, no Gate object —
-            # the circuit canonicalizes and appends straight into the
-            # columnar store.
-            node = self._circuit.add_gate_parts(sources, weights, threshold, tag)
+        # No Gate object: the circuit canonicalizes and appends straight into
+        # the columnar store.
+        node = self._circuit.add_gate_parts(sources, weights, threshold, tag)
         if tag:
             self._tag_counts[tag] = self._tag_counts.get(tag, 0) + 1
         return node
@@ -181,14 +133,8 @@ class CircuitBuilder:
         one call.  ``tag`` is one tag for the batch or a per-gate sequence.
         ``tag_counts`` optionally supplies the per-tag increments (used by
         template stamping, which knows them without counting the batch).
-
-        Under ``share_gates=True`` the batch degrades to a per-row loop so
-        every row consults the sharing cache; bulk callers keep working, just
-        without the vectorized fast path.
         """
         self._inputs_frozen = True
-        if self._share_gates:
-            return self._add_gates_shared(sources, offsets, weights, thresholds, tag)
         node_ids = self._circuit.add_gates(
             sources,
             offsets,
@@ -206,39 +152,6 @@ class CircuitBuilder:
             tag_counts,
             self._circuit.store.tag_of_code,  # pre-interned codes
         )
-        return node_ids
-
-    def _add_gates_shared(self, sources, offsets, weights, thresholds, tag) -> np.ndarray:
-        """Per-row fallback for bulk adds under structural sharing."""
-        offsets = np.asarray(offsets, dtype=np.int64)
-        sources = np.asarray(sources, dtype=np.int64).tolist()
-        weights = list(weights.tolist() if isinstance(weights, np.ndarray) else weights)
-        thresholds = list(
-            thresholds.tolist() if isinstance(thresholds, np.ndarray) else thresholds
-        )
-        n_new = len(offsets) - 1
-        if isinstance(tag, str):
-            tags = [tag] * n_new
-        elif isinstance(tag, np.ndarray) and tag.dtype == np.int32:
-            # Pre-interned codes: translate back so the per-gate path (and
-            # its tag bookkeeping) sees strings.
-            decode = self._circuit.store.tag_of_code
-            tags = [decode(int(code)) for code in tag]
-        else:
-            tags = list(tag)
-        base = self._circuit.n_nodes
-        # Intra-batch references assume contiguous ids; sharing may collapse
-        # rows, so remap prospective ids to the ids actually assigned.
-        assigned: List[int] = []
-        node_ids = np.empty(n_new, dtype=np.int64)
-        for i in range(n_new):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            row_sources = [
-                s if s < base else assigned[s - base] for s in sources[lo:hi]
-            ]
-            node = self.add_gate(row_sources, weights[lo:hi], thresholds[i], tags[i])
-            assigned.append(node)
-            node_ids[i] = node
         return node_ids
 
     def constant_true(self) -> int:

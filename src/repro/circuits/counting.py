@@ -31,6 +31,7 @@ from repro.circuits.store import (
     csr_dirty_rows,
     validate_csr_sources,
 )
+from repro.circuits.template import GadgetStamper
 
 __all__ = ["CountingBuilder"]
 
@@ -38,7 +39,7 @@ __all__ = ["CountingBuilder"]
 class CountingBuilder:
     """Counts the gates a construction would emit (same API as CircuitBuilder)."""
 
-    def __init__(self, name: str = "", vectorize: bool = True) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
         self._depths = IntVector()  # depth per node (inputs are depth 0)
         self._n_inputs = 0
@@ -51,24 +52,14 @@ class CountingBuilder:
         self._constant_true: Optional[int] = None
         self._constant_false: Optional[int] = None
         self._outputs: List[int] = []
-        self._last_sources: Optional[Sequence[int]] = None
-        self._last_len: int = -1
-        self._last_depth: int = 0
-        self._last_fan: int = 0
         self._tags = TagTable()
         # Marks this builder as a pure counter: the template stamper skips
         # materializing translated source arrays and calls
         # :meth:`add_template_gates` with the template totals instead.
         self.counts_only = True
-        # Same stamping/banking surface as CircuitBuilder, so constructions
-        # take identical code paths on both builders.  ``vectorize=False``
-        # keeps the per-gate legacy counting (benchmark baseline).
-        self.stamper = None
-        if vectorize:
-            from repro.circuits.template import GadgetStamper
-
-            self.stamper = GadgetStamper(self)
-        self.use_banks = self.stamper is not None
+        # Same stamping surface as CircuitBuilder, so constructions take
+        # identical code paths on both builders.
+        self.stamper = GadgetStamper(self)
 
     # ----------------------------------------------------------------- inputs
     def allocate_inputs(self, count: int, label: str = "") -> List[int]:
@@ -120,35 +111,16 @@ class CountingBuilder:
     ) -> int:
         """Record a gate and return its (virtual) node id."""
         node_id = len(self._depths)
-        # The arithmetic builders reuse one source list for whole banks of
-        # interval gates (Lemma 3.1 emits 2^k gates over identical sources),
-        # so memoize the max-depth computation on the list's identity *and*
-        # length: identity alone returns a stale maximum when a caller
-        # appends to a reused list between gates (the nodes already listed
-        # cannot change depth, but newly appended ones can be deeper).
-        if sources is self._last_sources and len(sources) == self._last_len:
-            depth = self._last_depth
-            fan_in = self._last_fan
-        else:
-            depth = 0
-            depths = self._depths
-            for s in sources:
-                d = depths[s]
-                if d > depth:
-                    depth = d
-            depth += 1
-            fan_in = len(sources)
-            if fan_in > 1:
-                # The real builder canonicalizes duplicate sources into one
-                # wire (Gate-style merge); count the merged fan-in so both
-                # counting paths report what the built circuit would have.
-                distinct = len(set(sources))
-                if distinct != fan_in:
-                    fan_in = distinct
-            self._last_sources = sources
-            self._last_len = len(sources)
-            self._last_depth = depth
-            self._last_fan = fan_in
+        depth = 0
+        depths = self._depths
+        for s in sources:
+            d = depths[s]
+            if d > depth:
+                depth = d
+        depth += 1
+        # The real builder canonicalizes duplicate sources into one wire
+        # (Gate-style merge); count the merged fan-in it would have built.
+        fan_in = len(set(sources))
         self._depths.append(depth)
         if depth > self._max_depth:
             self._max_depth = depth

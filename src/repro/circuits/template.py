@@ -3,27 +3,27 @@
 The paper's constructions are exactly "the same gadget at many positions":
 every cell of a tree level gets the same Lemma 3.2 weighted-sum circuit,
 every leaf the same Lemma 3.3 product, with only the *wiring* (which earlier
-nodes feed the gadget) changing from copy to copy.  The legacy path re-runs
-the gadget constructor per copy, paying the full per-gate Python cost each
-time.  Here the constructor runs once against a :class:`TemplateBuilder`
-whose "nodes" are local ids — parameter slots ``0 .. n_params-1`` for the
-gadget's external inputs, ``n_params ..`` for its internal gates — and the
-recorded arrays are *relocatable*: stamping ``k`` copies is one
-``add_gates`` call over tiled arrays with instance offsets added, plus a
-cheap per-copy remap of the recorded return value.
+nodes feed the gadget) changing from copy to copy.  Emitting each copy
+directly would re-run the gadget constructor per copy, paying the full
+per-gate Python cost each time.  Here the constructor runs once against a
+:class:`TemplateBuilder` whose "nodes" are local ids — parameter slots
+``0 .. n_params-1`` for the gadget's external inputs, ``n_params ..`` for
+its internal gates — and the recorded arrays are *relocatable*: stamping
+``k`` copies is one ``add_gates`` call over tiled arrays with instance
+offsets added, plus a cheap per-copy remap of the recorded return value.
 
-Fidelity guarantees (the stamped circuit is wire-for-wire identical to the
-legacy one):
+Fidelity guarantees (the stamped circuit is wire-for-wire identical to
+emitting every copy directly):
 
-* the template is recorded through the same ``Gate`` canonicalization the
-  per-gate path uses;
-* a copy whose external parameters are not pairwise distinct falls back to
-  the legacy constructor (duplicate sources merge in an id-dependent order a
-  template cannot reproduce);
+* the template is recorded through the same ``Gate`` canonicalization
+  direct emission uses;
+* a copy whose external parameters are not pairwise distinct is emitted
+  directly (duplicate sources merge in an id-dependent order a template
+  cannot reproduce);
 * a gadget whose *return value* contains a representation
   (:class:`~repro.arithmetic.signed.Rep`) over parameter nodes is rejected at
   record time (``Rep`` terms are sorted by node id, and parameter ids do not
-  map monotonically), and every copy uses the legacy constructor;
+  map monotonically), and every copy is emitted directly;
 * likewise, a gadget whose recording merged duplicate sources in a row with
   several parameter slots is rejected at record time — the merge sorts by
   local slot id, which need not match the per-copy node order.

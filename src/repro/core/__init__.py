@@ -30,7 +30,7 @@ from repro.core.schedule import (
     every_k_schedule,
     schedule_for,
 )
-from repro.core.leaf_builder import matrix_of_inputs, build_tree_levels
+from repro.core.leaf_builder import matrix_of_input_banks, build_tree_levels
 from repro.core.product_stage import build_leaf_products
 from repro.core.recombine import build_product_tree
 from repro.core.trace_circuit import (
@@ -79,7 +79,7 @@ __all__ = [
     "direct_schedule",
     "every_k_schedule",
     "schedule_for",
-    "matrix_of_inputs",
+    "matrix_of_input_banks",
     "build_tree_levels",
     "build_leaf_products",
     "build_product_tree",

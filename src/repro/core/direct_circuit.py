@@ -30,8 +30,6 @@ def build_direct_matmul_circuit(
     bit_width: Optional[int] = None,
     algorithm: Optional[BilinearAlgorithm] = None,
     stages: int = 1,
-    vectorize: bool = True,
-    banked: bool = True,
 ) -> MatmulCircuit:
     """Theorem 4.1 matrix-product circuit (single-jump schedule, staged sums).
 
@@ -46,8 +44,6 @@ def build_direct_matmul_circuit(
         algorithm=algorithm,
         schedule=direct_schedule(algorithm, n),
         stages=stages,
-        vectorize=vectorize,
-        banked=banked,
     )
 
 
@@ -57,8 +53,6 @@ def build_direct_trace_circuit(
     bit_width: Optional[int] = None,
     algorithm: Optional[BilinearAlgorithm] = None,
     stages: int = 1,
-    vectorize: bool = True,
-    banked: bool = True,
 ) -> TraceCircuit:
     """Theorem 4.1-style trace circuit (single-jump schedule, staged sums)."""
     algorithm = algorithm if algorithm is not None else strassen_2x2()
@@ -69,6 +63,4 @@ def build_direct_trace_circuit(
         algorithm=algorithm,
         schedule=direct_schedule(algorithm, n),
         stages=stages,
-        vectorize=vectorize,
-        banked=banked,
     )

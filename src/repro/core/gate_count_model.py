@@ -84,14 +84,11 @@ def count_trace_circuit(
     schedule: Optional[LevelSchedule] = None,
     depth_parameter: Optional[int] = None,
     stages: int = 1,
-    vectorize: bool = True,
 ) -> CircuitCost:
     """Exact size/depth of the Theorem 4.4/4.5 trace circuit, without building it.
 
-    ``vectorize=True`` (default) counts through the bulk/stamping protocol —
-    stamped gadget batches reuse the recorded template's gate/edge totals —
-    while ``vectorize=False`` keeps the per-gate dry run (benchmark
-    baseline).  Both report identical costs.
+    Counts through the bulk/stamping protocol: stamped gadget batches reuse
+    the recorded template's gate/edge totals.
     """
     algorithm = algorithm if algorithm is not None else strassen_2x2()
     bit_width = bit_width if bit_width is not None else default_bit_width(n)
@@ -100,7 +97,7 @@ def count_trace_circuit(
         if schedule is not None
         else schedule_for(algorithm, n, depth_parameter=depth_parameter)
     )
-    builder = CountingBuilder(name="count-trace", vectorize=vectorize)
+    builder = CountingBuilder(name="count-trace")
     assemble_trace_circuit(builder, n, tau, bit_width, algorithm, schedule, stages=stages)
     return _cost_from(builder)
 
@@ -112,12 +109,8 @@ def count_matmul_circuit(
     schedule: Optional[LevelSchedule] = None,
     depth_parameter: Optional[int] = None,
     stages: int = 1,
-    vectorize: bool = True,
 ) -> CircuitCost:
-    """Exact size/depth of the Theorem 4.8/4.9 product circuit, without building it.
-
-    See :func:`count_trace_circuit` for the ``vectorize`` knob.
-    """
+    """Exact size/depth of the Theorem 4.8/4.9 product circuit, without building it."""
     algorithm = algorithm if algorithm is not None else strassen_2x2()
     bit_width = bit_width if bit_width is not None else default_bit_width(n)
     schedule = (
@@ -125,7 +118,7 @@ def count_matmul_circuit(
         if schedule is not None
         else schedule_for(algorithm, n, depth_parameter=depth_parameter)
     )
-    builder = CountingBuilder(name="count-matmul", vectorize=vectorize)
+    builder = CountingBuilder(name="count-matmul")
     assemble_matmul_circuit(builder, n, bit_width, algorithm, schedule, stages=stages)
     return _cost_from(builder)
 

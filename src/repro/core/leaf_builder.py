@@ -1,58 +1,38 @@
 """Top-down computation of selected tree levels (Lemma 4.2 / Lemma 4.3).
 
 Given the root matrix of a side (A, B, or the transposed pairing matrix for
-the C side) as circuit values, and a level schedule, this module emits the
+the C side) as a value bank, and a level schedule, this module emits the
 circuits that compute every matrix at every selected level and returns the
 scalars at the leaves.  Each transition ``h_{i-1} -> h_i`` is one batch of
 depth-2 signed weighted-sum circuits (Lemma 3.2), so the whole stage has
 depth ``2 t`` (or ``2 t * stages`` when staged extraction is requested).
+Whole level matrices travel between transitions as row-major value banks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.arithmetic.signed import (
-    RepBank,
-    SignedBinaryNumber,
-    SignedValue,
-    SignedValueBank,
-)
-from repro.arithmetic.weighted_sum import build_signed_sum_banks, build_signed_sums
+from repro.arithmetic.signed import RepBank, SignedValueBank
+from repro.arithmetic.weighted_sum import build_signed_sum_banks
 from repro.core.schedule import LevelSchedule
 from repro.core.trees import Side, edge_matrices, iter_paths, relative_functional
 from repro.fastmm.bilinear import BilinearAlgorithm
 
-__all__ = ["matrix_of_inputs", "matrix_of_input_banks", "build_tree_levels"]
+__all__ = ["matrix_of_input_banks", "build_tree_levels"]
 
 Path = Tuple[int, ...]
-
-
-def matrix_of_inputs(encoding, builder=None) -> np.ndarray:
-    """Wrap a :class:`~repro.util.encoding.MatrixEncoding` as circuit values.
-
-    Returns an ``n x n`` object array whose entries are
-    :class:`SignedBinaryNumber` instances referring to the encoding's input
-    wires.
-    """
-    n = encoding.n
-    values = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            pos, neg = encoding.entry_wires(i, j)
-            values[i, j] = SignedBinaryNumber.from_input_bits(pos, neg)
-    return values
 
 
 def matrix_of_input_banks(encoding, transpose: bool = False) -> SignedValueBank:
     """Wrap a matrix encoding as one value bank (rows in row-major order).
 
     Row ``i * n + j`` of the bank holds entry ``(i, j)`` — or ``(j, i)``
-    when ``transpose`` is set (the pairing tree's root is ``A^T``).  The
-    entry layout matches :func:`matrix_of_inputs` exactly: positive bits
-    LSB-first, then negative bits.
+    when ``transpose`` is set (the pairing tree's root is ``A^T``).  Each
+    row lists the entry's wires as :meth:`MatrixEncoding.entry_wires` does:
+    positive bits LSB-first, then negative bits.
     """
     n = encoding.n
     b = encoding.bit_width
@@ -69,23 +49,15 @@ def matrix_of_input_banks(encoding, transpose: bool = False) -> SignedValueBank:
     )
 
 
-def _as_signed_value(entry) -> SignedValue:
-    if isinstance(entry, SignedValue):
-        return entry
-    if isinstance(entry, SignedBinaryNumber):
-        return entry.to_signed_value()
-    raise TypeError(f"unsupported circuit value type: {type(entry)!r}")
-
-
 def build_tree_levels(
     builder,
     algorithm: BilinearAlgorithm,
     side: Side,
-    root_values: np.ndarray,
+    root_bank: SignedValueBank,
     schedule: LevelSchedule,
     stages: int = 1,
     tag: str = "tree",
-) -> Dict[Path, SignedBinaryNumber]:
+) -> Dict[Path, SignedValueBank]:
     """Compute the leaves of a side's tree through the selected levels.
 
     Parameters
@@ -96,9 +68,10 @@ def build_tree_levels(
         The bilinear base-case algorithm defining the tree.
     side:
         ``"A"``, ``"B"`` or ``"C"`` — selects the edge coefficient tensors.
-    root_values:
-        ``n x n`` object array of :class:`SignedBinaryNumber` (the level-0
-        matrix; for the C side pass the transposed array).
+    root_bank:
+        The level-0 matrix as a row-major bank (see
+        :func:`matrix_of_input_banks`; for the C side pass the transposed
+        bank).
     schedule:
         The selected levels; ``schedule.leaf_level`` must equal ``log_T n``.
     stages:
@@ -107,79 +80,12 @@ def build_tree_levels(
     Returns
     -------
     dict
-        Mapping from full leaf paths (length ``log_T n``) to the scalar
-        :class:`SignedBinaryNumber` computed for that leaf — or, when
-        ``root_values`` is a :class:`SignedValueBank` (the banked pipeline),
-        to a single-row bank view of it.
-    """
-    if isinstance(root_values, SignedValueBank):
-        return _build_tree_levels_banked(
-            builder, algorithm, side, root_values, schedule, stages, tag
-        )
-    n = root_values.shape[0]
-    t = algorithm.t
-    if t ** schedule.leaf_level != n:
-        raise ValueError(
-            f"schedule leaf level {schedule.leaf_level} does not match matrix size {n}"
-        )
-    edges = edge_matrices(algorithm, side)
-
-    current: Dict[Path, np.ndarray] = {(): root_values}
-    for g, h in zip(schedule.levels, schedule.levels[1:]):
-        delta = h - g
-        k_h = n // t ** h
-        # The relative functional only depends on the sub-path below the
-        # ancestor, so compute it once per sub-path and reuse it for every
-        # ancestor node (they all have identical subtrees).
-        functionals = {
-            sigma: relative_functional(edges, sigma)
-            for sigma in iter_paths(algorithm.r, delta)
-        }
-        level_tag = f"{tag}/level{h}"
-        new: Dict[Path, np.ndarray] = {}
-        for ancestor_path, ancestor in current.items():
-            for sigma, functional in functionals.items():
-                # All k_h^2 cells of this (ancestor, sigma) transition share
-                # one functional, hence one weight signature: batching them
-                # into a single build_signed_sums call lets the vectorizing
-                # builder stamp the whole block from one recorded template.
-                # The (x, y) iteration order matches the per-cell loop, so
-                # the emitted circuit is unchanged.
-                items_list = [
-                    [
-                        (_as_signed_value(ancestor[p * k_h + x, q * k_h + y]), coeff)
-                        for (p, q), coeff in functional.items()
-                    ]
-                    for x in range(k_h)
-                    for y in range(k_h)
-                ]
-                cells = build_signed_sums(
-                    builder, items_list, stages=stages, tag=level_tag
-                )
-                child = np.empty((k_h, k_h), dtype=object)
-                for index, cell in enumerate(cells):
-                    child[index // k_h, index % k_h] = cell
-                new[ancestor_path + sigma] = child
-        current = new
-
-    return {path: matrix[0, 0] for path, matrix in current.items()}
-
-
-def _build_tree_levels_banked(
-    builder,
-    algorithm: BilinearAlgorithm,
-    side: Side,
-    root_bank: SignedValueBank,
-    schedule: LevelSchedule,
-    stages: int,
-    tag: str,
-) -> Dict[Path, SignedValueBank]:
-    """Banked leaf stage: whole matrices travel as row-major value banks.
+        Mapping from full leaf paths (length ``log_T n``) to a single-row
+        bank holding that leaf's value.
 
     Level matrices are uniform by construction (every child matrix comes out
     of one same-signature batch), so each transition is a handful of array
-    gathers plus one banked sum emission per ``(ancestor, sigma)`` pair —
-    the emitted gate stream is identical to the scalar path's.
+    gathers plus one banked sum emission per ``(ancestor, sigma)`` pair.
     """
     k_root = root_bank.k
     n = int(round(k_root ** 0.5))
@@ -200,8 +106,8 @@ def _build_tree_levels_banked(
             for sigma in iter_paths(algorithm.r, delta)
         }
         level_tag = f"{tag}/level{h}"
-        # Instance (x, y) of a child matrix — row-major, matching the scalar
-        # path's (x, y) loop — reads ancestor cell (p*k_h + x, q*k_h + y).
+        # Instance (x, y) of a child matrix, in row-major order, reads
+        # ancestor cell (p*k_h + x, q*k_h + y).
         x = np.repeat(np.arange(k_h, dtype=np.int64), k_h)
         y = np.tile(np.arange(k_h, dtype=np.int64), k_h)
         rows_cache: Dict[Tuple[int, int], np.ndarray] = {}

@@ -22,11 +22,7 @@ import numpy as np
 
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.circuit import ThresholdCircuit
-from repro.core.leaf_builder import (
-    build_tree_levels,
-    matrix_of_input_banks,
-    matrix_of_inputs,
-)
+from repro.core.leaf_builder import build_tree_levels, matrix_of_input_banks
 from repro.core.product_stage import build_leaf_products
 from repro.core.recombine import build_product_tree
 from repro.core.schedule import LevelSchedule, schedule_for
@@ -57,15 +53,10 @@ def assemble_matmul_circuit(
     encoding_a = MatrixEncoding(n, bit_width, offset=a_wires[0] if a_wires else 0)
     encoding_b = MatrixEncoding(n, bit_width, offset=b_wires[0] if b_wires else 0)
 
-    if getattr(builder, "use_banks", False):
-        # Banked pipeline: whole matrices travel between stages as node-id
-        # banks; the scalar object form only materializes for the n^2 output
-        # entries.  Wire-for-wire identical to the scalar path.
-        root_a = matrix_of_input_banks(encoding_a)
-        root_b = matrix_of_input_banks(encoding_b)
-    else:
-        root_a = matrix_of_inputs(encoding_a)
-        root_b = matrix_of_inputs(encoding_b)
+    # Whole matrices travel between stages as node-id banks; the scalar
+    # object form only materializes for the n^2 output entries.
+    root_a = matrix_of_input_banks(encoding_a)
+    root_b = matrix_of_input_banks(encoding_b)
 
     leaves_a = build_tree_levels(
         builder, algorithm, "A", root_a, schedule, stages=stages, tag="TA"
@@ -265,16 +256,12 @@ def build_matmul_circuit(
     schedule: Optional[LevelSchedule] = None,
     depth_parameter: Optional[int] = None,
     stages: int = 1,
-    share_gates: bool = False,
     engine=None,
-    vectorize: bool = True,
-    banked: bool = True,
 ) -> MatmulCircuit:
     """Build the Theorem 4.8 / 4.9 circuit computing ``C = AB``.
 
     See :func:`repro.core.trace_circuit.build_trace_circuit` for the meaning
-    of the common parameters (including ``engine``, ``vectorize`` and
-    ``banked``).
+    of the common parameters (including ``engine``).
     """
     from repro.core.trace_circuit import default_bit_width
 
@@ -285,12 +272,7 @@ def build_matmul_circuit(
         if schedule is not None
         else schedule_for(algorithm, n, depth_parameter=depth_parameter)
     )
-    builder = CircuitBuilder(
-        name=f"matmul-{algorithm.name}-n{n}",
-        share_gates=share_gates,
-        vectorize=vectorize,
-        banked=banked,
-    )
+    builder = CircuitBuilder(name=f"matmul-{algorithm.name}-n{n}")
     encoding_a, encoding_b, entries = assemble_matmul_circuit(
         builder, n, bit_width, algorithm, schedule, stages=stages
     )

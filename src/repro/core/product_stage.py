@@ -10,17 +10,12 @@ cases are a single application of Lemma 3.3 per leaf, i.e. one extra layer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.arithmetic.product import build_signed_product_banks, build_signed_products
-from repro.arithmetic.signed import (
-    RepBank,
-    SignedBinaryNumber,
-    SignedValue,
-    SignedValueBank,
-)
+from repro.arithmetic.signed import RepBank, SignedValueBank
 
 __all__ = ["build_leaf_products"]
 
@@ -29,9 +24,9 @@ Path = Tuple[int, ...]
 
 def build_leaf_products(
     builder,
-    leaf_sets: Sequence[Dict[Path, SignedBinaryNumber]],
+    leaf_sets: Sequence[Dict[Path, SignedValueBank]],
     tag: str = "products",
-) -> Dict[Path, SignedValue]:
+) -> Dict[Path, SignedValueBank]:
     """Multiply corresponding leaves of two or three trees (Lemma 3.3).
 
     Parameters
@@ -46,8 +41,12 @@ def build_leaf_products(
     Returns
     -------
     dict
-        Path -> product value in representation form (depth 1 above the
-        deepest leaf).
+        Path -> single-row bank holding the product in representation form
+        (depth 1 above the deepest leaf).
+
+    The leaves arrive as single-row bank views; consecutive paths (in sorted
+    order) whose layouts agree across all trees are vertically stacked into
+    one factor bank per tree and multiplied in a single banked emission.
     """
     if len(leaf_sets) < 2:
         raise ValueError("the product stage needs at least two leaf trees")
@@ -55,36 +54,7 @@ def build_leaf_products(
     for other in leaf_sets[1:]:
         if set(other) != paths:
             raise ValueError("leaf trees disagree on the set of leaf paths")
-
     ordered_paths = sorted(paths)
-    if ordered_paths and isinstance(
-        leaf_sets[0][ordered_paths[0]], SignedValueBank
-    ):
-        return _build_leaf_product_banks(builder, leaf_sets, ordered_paths, tag)
-
-    # One batched call over all leaves: consecutive leaves with identical
-    # factor bit layouts are template-stamped together by the vectorizing
-    # builder, in the same sorted-path order the per-leaf loop used.
-    factors_list = [
-        [leaves[path] for leaves in leaf_sets] for path in ordered_paths
-    ]
-    values = build_signed_products(builder, factors_list, tag=tag)
-    return dict(zip(ordered_paths, values))
-
-
-def _build_leaf_product_banks(
-    builder,
-    leaf_sets: Sequence[Dict[Path, SignedValueBank]],
-    ordered_paths: List[Path],
-    tag: str,
-) -> Dict[Path, SignedValueBank]:
-    """Banked product stage: stack same-layout leaf runs, one stamp per run.
-
-    The leaves arrive as single-row bank views; consecutive paths whose
-    layouts agree across all trees are vertically stacked into one factor
-    bank per tree and multiplied in a single banked emission (same sorted
-    order, hence the same gate stream as the scalar grouping path).
-    """
 
     def signature(path):
         return tuple(
@@ -108,8 +78,8 @@ def _build_leaf_product_banks(
         if any(leaves[group[0]].overrides for leaves in leaf_sets):
             # Override rows carry per-row layouts whose node-matrix entries
             # are meaningless; the whole (override-homogeneous, see the
-            # signature) run goes through the scalar path instead of being
-            # stacked as if it were clean.
+            # signature) run goes through the grouping emitter instead of
+            # being stacked as if it were clean.
             factors_list = [
                 [leaves[path].signed_binary(0) for leaves in leaf_sets]
                 for path in group

@@ -21,8 +21,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.arithmetic.signed import SignedBinaryNumber, SignedValue, SignedValueBank
-from repro.arithmetic.weighted_sum import build_signed_sums, build_signed_sums_cellwise
+from repro.arithmetic.signed import SignedValueBank
+from repro.arithmetic.weighted_sum import build_signed_sums_cellwise
 from repro.core.schedule import LevelSchedule
 from repro.core.trees import edge_matrices, iter_paths, relative_functional
 from repro.fastmm.bilinear import BilinearAlgorithm
@@ -32,18 +32,10 @@ __all__ = ["build_product_tree"]
 Path = Tuple[int, ...]
 
 
-def _as_signed_value(entry) -> SignedValue:
-    if isinstance(entry, SignedValue):
-        return entry
-    if isinstance(entry, SignedBinaryNumber):
-        return entry.to_signed_value()
-    raise TypeError(f"unsupported circuit value type: {type(entry)!r}")
-
-
 def build_product_tree(
     builder,
     algorithm: BilinearAlgorithm,
-    leaf_products: Dict[Path, SignedValue],
+    leaf_products: Dict[Path, SignedValueBank],
     schedule: LevelSchedule,
     n: int,
     stages: int = 1,
@@ -62,14 +54,11 @@ def build_product_tree(
             f"schedule leaf level {leaf_level} does not match matrix size {n}"
         )
     edges = edge_matrices(algorithm, "C")
-    banked = bool(leaf_products) and isinstance(
-        next(iter(leaf_products.values())), SignedValueBank
-    )
 
-    # Values at the deepest level: 1x1 matrices holding the leaf products.
-    # In the banked pipeline the cells hold single-row bank views instead of
-    # scalar values; the per-block sums then go through the cellwise banked
-    # emitter (parent matrices mix block layouts, so no uniform matrix bank).
+    # Values at the deepest level: 1x1 matrices whose cells hold the leaf
+    # products as single-row bank views.  The per-block sums go through the
+    # cellwise banked emitter (parent matrices mix block layouts, so no
+    # uniform matrix bank).
     current: Dict[Path, np.ndarray] = {}
     for path, value in leaf_products.items():
         cell = np.empty((1, 1), dtype=object)
@@ -101,31 +90,19 @@ def build_product_tree(
                     terms = block_terms.get((p, q), [])
                     # The k_h^2 cells of one (p, q) block share the same
                     # (sigma, coeff) term list, i.e. one weight signature —
-                    # batch them so the vectorizing builder stamps the block
-                    # from a single template, in the legacy (x, y) order.
+                    # batch them so the builder stamps the block from a
+                    # single template, in row-major (x, y) order.
                     items_list = [
                         [
                             (current[parent_path + sigma][x, y], coeff)
-                            if banked
-                            else (
-                                _as_signed_value(
-                                    current[parent_path + sigma][x, y]
-                                ),
-                                coeff,
-                            )
                             for sigma, coeff in terms
                         ]
                         for x in range(k_h)
                         for y in range(k_h)
                     ]
-                    if banked:
-                        cells = build_signed_sums_cellwise(
-                            builder, items_list, stages=stages, tag=level_tag
-                        )
-                    else:
-                        cells = build_signed_sums(
-                            builder, items_list, stages=stages, tag=level_tag
-                        )
+                    cells = build_signed_sums_cellwise(
+                        builder, items_list, stages=stages, tag=level_tag
+                    )
                     for index, cell in enumerate(cells):
                         parent[p * k_h + index // k_h, q * k_h + index % k_h] = cell
             new[parent_path] = parent
@@ -134,13 +111,10 @@ def build_product_tree(
     if list(current.keys()) != [()]:
         raise AssertionError("recombination did not terminate at the root")
     root = current[()]
-    if banked:
-        # Materialize the n x n scalar entries for the output stage; the n^2
-        # conversions are the only per-cell objects the banked pipeline ever
-        # creates.
-        entries = np.empty(root.shape, dtype=object)
-        for i in range(root.shape[0]):
-            for j in range(root.shape[1]):
-                entries[i, j] = root[i, j].signed_binary(0)
-        return entries
-    return root
+    # Materialize the n x n scalar entries for the output stage; the n^2
+    # conversions are the only per-cell objects the pipeline ever creates.
+    entries = np.empty(root.shape, dtype=object)
+    for i in range(root.shape[0]):
+        for j in range(root.shape[1]):
+            entries[i, j] = root[i, j].signed_binary(0)
+    return entries

@@ -24,15 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.arithmetic.comparator import build_ge_comparison, build_ge_comparison_banks
-from repro.arithmetic.signed import Rep, SignedValue
+from repro.arithmetic.comparator import build_ge_comparison_banks
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.circuit import ThresholdCircuit
-from repro.core.leaf_builder import (
-    build_tree_levels,
-    matrix_of_input_banks,
-    matrix_of_inputs,
-)
+from repro.core.leaf_builder import build_tree_levels, matrix_of_input_banks
 from repro.core.product_stage import build_leaf_products
 from repro.core.schedule import LevelSchedule, schedule_for
 from repro.fastmm.bilinear import BilinearAlgorithm
@@ -67,15 +62,10 @@ def assemble_trace_circuit(
     offset = wires[0] if wires else 0
     encoding = MatrixEncoding(n, bit_width, offset=offset)
 
-    banked = getattr(builder, "use_banks", False)
-    if banked:
-        root_a = matrix_of_input_banks(encoding)
-        # The pairing tree's root is A^T (equation (4)): same bank, rows
-        # permuted to transpose order.
-        root_pairing = matrix_of_input_banks(encoding, transpose=True)
-    else:
-        root_a = matrix_of_inputs(encoding)
-        root_pairing = root_a.T
+    root_a = matrix_of_input_banks(encoding)
+    # The pairing tree's root is A^T (equation (4)): same bank, rows
+    # permuted to transpose order.
+    root_pairing = matrix_of_input_banks(encoding, transpose=True)
 
     leaves_a = build_tree_levels(
         builder, algorithm, "A", root_a, schedule, stages=stages, tag="TA"
@@ -91,18 +81,9 @@ def assemble_trace_circuit(
         builder, [leaves_a, leaves_b, leaves_pair], tag="trace/product"
     )
 
-    if banked:
-        output = build_ge_comparison_banks(
-            builder, products.values(), tau, tag="trace/output"
-        )
-    else:
-        pos_terms = []
-        neg_terms = []
-        for value in products.values():
-            pos_terms.extend(value.pos.terms)
-            neg_terms.extend(value.neg.terms)
-        total = SignedValue(Rep.from_terms(pos_terms), Rep.from_terms(neg_terms))
-        output = build_ge_comparison(builder, total, tau, tag="trace/output")
+    output = build_ge_comparison_banks(
+        builder, products.values(), tau, tag="trace/output"
+    )
     builder.set_outputs([output], [f"trace(A^3) >= {tau}"])
     return encoding
 
@@ -190,10 +171,7 @@ def build_trace_circuit(
     schedule: Optional[LevelSchedule] = None,
     depth_parameter: Optional[int] = None,
     stages: int = 1,
-    share_gates: bool = False,
     engine=None,
-    vectorize: bool = True,
-    banked: bool = True,
 ) -> TraceCircuit:
     """Build the Theorem 4.4 / 4.5 circuit deciding ``trace(A^3) >= tau``.
 
@@ -215,20 +193,13 @@ def build_trace_circuit(
         The paper's ``d``; ignored when ``schedule`` is given.
     stages:
         Number of stages per weighted sum (1 = depth-2 Lemma 3.2 sums).
-    share_gates:
-        Enable structural gate sharing in the builder (ablation knob).
     engine:
         Execution engine used by :meth:`TraceCircuit.evaluate`; defaults to
         the process-wide :func:`repro.engine.default_engine`.
-    vectorize:
-        True (default) emits gadgets through the columnar bulk/stamping
-        path; False forces the legacy per-gate path.  Both construct
-        bit-identical circuits (equal ``structural_hash``).
-    banked:
-        True (default) additionally passes whole value banks between the
-        construction stages (the array-native ``Rep``/``SignedValue``
-        interface); False keeps the stamped-but-scalar stage interface.
-        All three paths construct bit-identical circuits.
+
+    The construction emits no shared gates; apply
+    :func:`repro.circuits.optimize.deduplicate_gates` to the circuit to
+    merge structurally identical ones.
     """
     algorithm = algorithm if algorithm is not None else strassen_2x2()
     bit_width = bit_width if bit_width is not None else default_bit_width(n)
@@ -237,12 +208,7 @@ def build_trace_circuit(
         if schedule is not None
         else schedule_for(algorithm, n, depth_parameter=depth_parameter)
     )
-    builder = CircuitBuilder(
-        name=f"trace-{algorithm.name}-n{n}",
-        share_gates=share_gates,
-        vectorize=vectorize,
-        banked=banked,
-    )
+    builder = CircuitBuilder(name=f"trace-{algorithm.name}-n{n}")
     encoding = assemble_trace_circuit(
         builder, n, tau, bit_width, algorithm, schedule, stages=stages
     )

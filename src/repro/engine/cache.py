@@ -8,10 +8,10 @@ for two backends occupies two slots, and re-building an identical circuit
 from scratch — the common pattern in parameter sweeps — still hits.
 
 The key deliberately does *not* distinguish how the program was compiled:
-a template-streaming compile and a classic CSR compile of structurally
-identical circuits are bit-identical programs, so they must alias to one
-slot (a ``banked=False`` rebuild hits the entry a template compile stored,
-and vice versa).  That aliasing is only sound because ``structural_hash``
+a circuit with template provenance and a structurally identical one
+without it (a JSON-loaded circuit, or a copy with ``template_blocks``
+cleared) compile to bit-identical programs, so they must alias to one slot
+(either hits the entry the other stored).  That aliasing is only sound because ``structural_hash``
 covers the full structure (inputs, every gate, outputs) and is invalidated
 on mutation — anything cheaper would risk serving a stale program after an
 eviction/refill cycle, which ``tests/test_engine.py`` pins down.

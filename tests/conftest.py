@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import faulthandler
 import os
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from time_limit import arm_time_limit
 
 from repro.fastmm import naive_algorithm, strassen_2x2, winograd_2x2
 
@@ -18,9 +18,10 @@ settings.register_profile("ci", derandomize=True, print_blob=True)
 if os.environ.get("HYPOTHESIS_PROFILE"):
     settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
-#: Seconds any one test may run.  Past it every thread's stack is printed and
-#: the run exits with status 1, so a hung test fails with a traceback instead
-#: of stalling until the CI job times out.  The slowest test takes about 70 s.
+#: Seconds any one test may run.  Past it every thread's stack is printed,
+#: the worker processes the test started are reaped, and the run exits with
+#: status 1, so a hung test fails with a traceback instead of stalling until
+#: the CI job times out.  The slowest test takes about 70 s.
 TEST_TIME_LIMIT_S = 600
 
 _STDERR_FD = pytest.StashKey[int]()
@@ -39,12 +40,10 @@ def pytest_unconfigure(config):
 
 @pytest.fixture(autouse=True)
 def _test_time_limit(request):
-    """Arm the per-test time limit; cancel it when the test ends."""
-    faulthandler.dump_traceback_later(
-        TEST_TIME_LIMIT_S, exit=True, file=request.config.stash[_STDERR_FD]
-    )
+    """Arm the per-test time limit; disarm it when the test ends."""
+    disarm = arm_time_limit(TEST_TIME_LIMIT_S, request.config.stash[_STDERR_FD])
     yield
-    faulthandler.cancel_dump_traceback_later()
+    disarm.set()
 
 
 @pytest.fixture

@@ -1,33 +1,31 @@
-"""Equivalence of the bulk/stamped construction path and the per-gate path.
+"""Stamped gadget batches equal per-instance direct emission, wire for wire.
 
-The vectorized construction pipeline (columnar store + bulk ``add_gates`` +
-gadget template stamping) must be a pure performance change: for every
-construction, ``vectorize=True`` and ``vectorize=False`` have to produce
-circuits with bit-identical structure (equal ``structural_hash``, which
-covers input count, every gate's sources/weights/threshold in order, and the
-declared outputs).  These tests check that on randomized gadget soups and on
-the full matmul/trace constructions.
+Construction emits each gadget batch through template stamping: the
+gadget is recorded once and stamped at every instance.  Stamping must be a
+pure performance change, so a soup of random gadget calls, replayed once in
+stamped batches and once one instance per call through the direct
+emitters, has to build circuits with bit-identical structure (equal
+``structural_hash``, which covers input count, every gate's
+sources/weights/threshold in order, and the declared outputs).  Whole
+constructions are pinned by ``tests/fixtures/golden_counts.json``.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.arithmetic.comparator import build_ge_comparison
-from repro.arithmetic.product import build_signed_products
+from repro.arithmetic.product import _build_signed_product_direct, build_signed_products
 from repro.arithmetic.signed import SignedBinaryNumber
-from repro.arithmetic.weighted_sum import build_signed_sums
-from repro.circuits.builder import CircuitBuilder
-from repro.core.matmul_circuit import build_matmul_circuit
-from repro.core.naive_circuits import (
-    build_naive_matmul_circuit,
-    build_naive_trace_circuit,
-    build_naive_triangle_circuit,
+from repro.arithmetic.weighted_sum import (
+    _build_signed_sum_direct,
+    build_signed_sums,
+    split_signed_terms,
 )
+from repro.circuits.builder import CircuitBuilder
 from repro.core.trace_circuit import build_trace_circuit
-from repro.engine import Engine
 
 
 # --------------------------------------------------------------------------- #
-# Randomized gadget programs, replayed on both builder modes.
+# Randomized gadget programs, replayed stamped and instance by instance.
 # --------------------------------------------------------------------------- #
 
 
@@ -105,92 +103,89 @@ def _draw_program(data):
     return n_inputs, numbers, ops, tau
 
 
-def _replay(n_inputs, numbers, ops, tau, vectorize):
-    builder = CircuitBuilder(name="gadget-soup", vectorize=vectorize)
+def _replay(n_inputs, numbers, ops, tau, stamped):
+    """Emit the program; returns the builder and every (op, picks, results)."""
+    builder = CircuitBuilder(name="gadget-soup")
     builder.allocate_inputs(n_inputs)
-    pool = list(numbers)
+    emitted = []
     last_signed_value = None
     for kind, picks, stages in ops:
         if kind == "sum":
             items_list = [
-                [(pool[index].to_signed_value(), weight) for index, weight in instance]
+                [(numbers[index].to_signed_value(), weight) for index, weight in instance]
                 for instance in picks
             ]
-            pool.extend(
-                build_signed_sums(builder, items_list, stages=stages, tag="soup/sum")
-            )
+            if stamped:
+                results = build_signed_sums(
+                    builder, items_list, stages=stages, tag="soup/sum"
+                )
+            else:
+                results = [
+                    _build_signed_sum_direct(
+                        builder, *split_signed_terms(items), None, stages, "soup/sum"
+                    )
+                    for items in items_list
+                ]
         else:
-            factors_list = [[pool[index] for index in instance] for instance in picks]
-            values = build_signed_products(builder, factors_list, tag="soup/prod")
-            last_signed_value = values[-1]
+            factors_list = [[numbers[index] for index in instance] for instance in picks]
+            if stamped:
+                results = build_signed_products(builder, factors_list, tag="soup/prod")
+            else:
+                results = [
+                    _build_signed_product_direct(builder, factors, "soup/prod")
+                    for factors in factors_list
+                ]
+            last_signed_value = results[-1]
+        emitted.append((kind, picks, results))
     if last_signed_value is not None:
         output = build_ge_comparison(builder, last_signed_value, tau, tag="soup/out")
         builder.set_outputs([output])
-    return builder.build(), builder.tag_counts()
+    return builder, emitted
 
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_random_gadgets_bit_identical(data):
     n_inputs, numbers, ops, tau = _draw_program(data)
-    fast, fast_tags = _replay(n_inputs, numbers, ops, tau, vectorize=True)
-    legacy, legacy_tags = _replay(n_inputs, numbers, ops, tau, vectorize=False)
-    assert fast.size == legacy.size
-    assert fast.structural_hash() == legacy.structural_hash()
-    assert fast.stats() == legacy.stats()
-    assert fast_tags == legacy_tags
+    stamped, emitted = _replay(n_inputs, numbers, ops, tau, stamped=True)
+    direct, _ = _replay(n_inputs, numbers, ops, tau, stamped=False)
+    fast, reference = stamped.build(), direct.build()
+    assert fast.structural_hash() == reference.structural_hash()
+    assert fast.stats() == reference.stats()
+    assert stamped.tag_counts() == direct.tag_counts()
     # Depth bookkeeping must agree gate by gate, not just in the maximum.
-    assert fast.gates_by_depth() == legacy.gates_by_depth()
+    assert fast.gates_by_depth() == reference.gates_by_depth()
+
+    # Every emitted sum and product equals exact integer arithmetic on the
+    # drawn values, and the output gate decides the last product >= tau.
+    for round_ in range(3):
+        bits = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=1),
+                min_size=n_inputs,
+                max_size=n_inputs,
+            ),
+            label=f"inputs{round_}",
+        )
+        values = fast.evaluate_slow(bits)
+        drawn = [number.value(values) for number in numbers]
+        last = None
+        for kind, picks, results in emitted:
+            for instance, result in zip(picks, results):
+                if kind == "sum":
+                    expected = sum(weight * drawn[index] for index, weight in instance)
+                else:
+                    expected = 1
+                    for index in instance:
+                        expected *= drawn[index]
+                    last = expected
+                assert result.value(values) == expected, (kind, instance)
+        if last is not None:
+            assert values[fast.outputs[0]] == int(last >= tau)
 
 
-@given(
-    n=st.sampled_from([2, 4]),
-    stages=st.integers(min_value=1, max_value=2),
-    bit_width=st.integers(min_value=1, max_value=2),
-)
-@settings(max_examples=6, deadline=None)
-def test_matmul_construction_bit_identical(n, stages, bit_width):
-    fast = build_matmul_circuit(
-        n, bit_width=bit_width, depth_parameter=1, stages=stages, vectorize=True
-    )
-    legacy = build_matmul_circuit(
-        n, bit_width=bit_width, depth_parameter=1, stages=stages, vectorize=False
-    )
-    assert fast.circuit.structural_hash() == legacy.circuit.structural_hash()
-    assert fast.circuit.stats() == legacy.circuit.stats()
-
-
-def test_trace_and_naive_constructions_bit_identical(rng):
-    pairs = [
-        (
-            build_trace_circuit(4, 10, depth_parameter=2, vectorize=True).circuit,
-            build_trace_circuit(4, 10, depth_parameter=2, vectorize=False).circuit,
-        ),
-        (
-            build_naive_matmul_circuit(4, stages=2, vectorize=True).circuit,
-            build_naive_matmul_circuit(4, stages=2, vectorize=False).circuit,
-        ),
-        (
-            build_naive_trace_circuit(3, 5, vectorize=True).circuit,
-            build_naive_trace_circuit(3, 5, vectorize=False).circuit,
-        ),
-        (
-            build_naive_triangle_circuit(6, 2, vectorize=True).circuit,
-            build_naive_triangle_circuit(6, 2, vectorize=False).circuit,
-        ),
-    ]
-    engine = Engine()
-    for fast, legacy in pairs:
-        assert fast.structural_hash() == legacy.structural_hash()
-        batch = rng.integers(0, 2, size=(fast.n_inputs, 16))
-        fast_result = engine.evaluate(fast, batch)
-        legacy_result = engine.evaluate(legacy, batch)
-        assert (fast_result.outputs == legacy_result.outputs).all()
-        assert (fast_result.node_values == legacy_result.node_values).all()
-
-
-def test_trace_circuit_evaluates_correctly_when_vectorized(rng):
-    trace = build_trace_circuit(4, 10, depth_parameter=2, vectorize=True)
+def test_trace_circuit_evaluates_correctly(rng):
+    trace = build_trace_circuit(4, 10, depth_parameter=2)
     for _ in range(5):
         matrix = rng.integers(-2, 3, size=(4, 4))
         assert trace.evaluate(matrix) == trace.reference(matrix)

@@ -54,19 +54,6 @@ class TestCircuitBuilder:
         builder.add_gate([0, 1], [1, 1], 2, tag="y")
         assert builder.tag_counts() == {"x": 2, "y": 1}
 
-    def test_gate_sharing(self):
-        shared = CircuitBuilder(share_gates=True)
-        shared.allocate_inputs(2)
-        first = shared.add_gate([0, 1], [1, 1], 2)
-        second = shared.add_gate([0, 1], [1, 1], 2)
-        assert first == second
-        assert shared.size == 1
-
-        unshared = CircuitBuilder(share_gates=False)
-        unshared.allocate_inputs(2)
-        assert unshared.add_gate([0, 1], [1, 1], 2) != unshared.add_gate([0, 1], [1, 1], 2)
-        assert unshared.size == 2
-
 
 class TestCountingBuilder:
     def test_counts_match_real_builder(self):

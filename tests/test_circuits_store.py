@@ -161,21 +161,7 @@ class TestGateView:
             view[4]
 
 
-class TestSharingAndTagCounts:
-    def test_bulk_add_respects_sharing_cache(self):
-        builder = CircuitBuilder(share_gates=True)
-        inputs = builder.allocate_inputs(2)
-        first = builder.add_gate(inputs, [1, 1], 2, tag="x")
-        ids = builder.add_gates(
-            np.asarray([0, 1, 0], dtype=np.int64),
-            np.asarray([0, 2, 3], dtype=np.int64),
-            [1, 1, 1],
-            [2, 1],
-            tag="x",
-        )
-        assert int(ids[0]) == first  # deduplicated against the earlier gate
-        assert builder.size == 2
-
+class TestTagCounts:
     def test_bulk_tag_counts_match_per_gate(self):
         bulk = CircuitBuilder()
         bulk.allocate_inputs(2)
@@ -207,7 +193,7 @@ class TestTemplates:
             emit_legacy=lambda i: None,
         )
         circuit = builder.build()
-        reference = CircuitBuilder(vectorize=False)
+        reference = CircuitBuilder()
         reference.allocate_inputs(4)
         for a, b in ([0, 1], [2, 3], [1, 2]):
             g = reference.add_gate([a, b], [1, 1], 2, tag="tpl/and")

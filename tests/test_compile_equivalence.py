@@ -11,10 +11,9 @@ are pinned against each other and against the gate-by-gate reference
 
     {provenance kept, provenance stripped} x {sparse, dense, exact}
 
-on every construction family (matmul / trace / direct / naive) in every
-builder mode (banked / stamped / legacy), on the corners the plan builder
-must handle (refused provenance, weights beyond int64, zero gates), plus a
-Hypothesis-driven random gadget soup.  Any future change to construction,
+on every construction family (matmul / trace / direct / naive), on the
+corners the plan builder must handle (refused provenance, weights beyond
+int64, zero gates), plus a Hypothesis-driven random gadget soup.  Any future change to construction,
 stamping or compilation that breaks bit-equality fails here with the
 offending path named.
 """
@@ -101,33 +100,12 @@ CONSTRUCTIONS = [
     pytest.param(
         lambda: build_naive_matmul_circuit(3, bit_width=1, stages=2).circuit,
         True,
-        id="naive-matmul-banked",
-    ),
-    pytest.param(
-        lambda: build_naive_matmul_circuit(
-            3, bit_width=1, stages=2, banked=False
-        ).circuit,
-        True,
-        id="naive-matmul-stamped",
-    ),
-    pytest.param(
-        lambda: build_naive_matmul_circuit(
-            3, bit_width=1, stages=2, vectorize=False
-        ).circuit,
-        False,
-        id="naive-matmul-legacy",
+        id="naive-matmul",
     ),
     pytest.param(
         lambda: build_naive_trace_circuit(3, tau=1, bit_width=1).circuit,
         True,
-        id="naive-trace-banked",
-    ),
-    pytest.param(
-        lambda: build_naive_trace_circuit(
-            3, tau=1, bit_width=1, banked=False
-        ).circuit,
-        True,
-        id="naive-trace-stamped",
+        id="naive-trace",
     ),
     pytest.param(
         lambda: build_naive_triangle_circuit(5, tau=2).circuit,
@@ -137,32 +115,17 @@ CONSTRUCTIONS = [
     pytest.param(
         lambda: build_matmul_circuit(2, bit_width=1).circuit,
         True,
-        id="matmul-strassen-banked",
-    ),
-    pytest.param(
-        lambda: build_matmul_circuit(2, bit_width=1, banked=False).circuit,
-        True,
-        id="matmul-strassen-stamped",
-    ),
-    pytest.param(
-        lambda: build_matmul_circuit(2, bit_width=1, vectorize=False).circuit,
-        False,
-        id="matmul-strassen-legacy",
+        id="matmul-strassen",
     ),
     pytest.param(
         lambda: build_trace_circuit(2, tau=0, bit_width=1).circuit,
         True,
-        id="trace-strassen-banked",
-    ),
-    pytest.param(
-        lambda: build_trace_circuit(2, tau=0, bit_width=1, banked=False).circuit,
-        True,
-        id="trace-strassen-stamped",
+        id="trace-strassen",
     ),
     pytest.param(
         lambda: build_direct_matmul_circuit(2, bit_width=1, stages=2).circuit,
         True,
-        id="direct-matmul-banked",
+        id="direct-matmul",
     ),
 ]
 

@@ -6,7 +6,7 @@ import pytest
 from repro.arithmetic.signed import SignedBinaryNumber
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.simulator import simulate
-from repro.core.leaf_builder import build_tree_levels, matrix_of_inputs
+from repro.core.leaf_builder import build_tree_levels, matrix_of_input_banks
 from repro.core.product_stage import build_leaf_products
 from repro.core.recombine import build_product_tree
 from repro.core.schedule import LevelSchedule, direct_schedule, every_k_schedule
@@ -17,7 +17,7 @@ from repro.util.encoding import MatrixEncoding
 def setup_matrix_inputs(builder, n, bit_width, label):
     wires = builder.allocate_inputs(n * n * 2 * bit_width, label)
     encoding = MatrixEncoding(n, bit_width, offset=wires[0])
-    return encoding, matrix_of_inputs(encoding)
+    return encoding, matrix_of_input_banks(encoding)
 
 
 def leaf_oracle(algorithm, side, matrix, path):
@@ -27,13 +27,15 @@ def leaf_oracle(algorithm, side, matrix, path):
     return sum(coeff * int(matrix[p, q]) for (p, q), coeff in functional.items())
 
 
-class TestMatrixOfInputs:
+class TestMatrixOfInputBanks:
     def test_wraps_input_wires(self):
         builder = CircuitBuilder()
         encoding, values = setup_matrix_inputs(builder, 2, 2, "A")
-        assert values.shape == (2, 2)
-        assert isinstance(values[0, 0], SignedBinaryNumber)
-        assert values[1, 1].pos.bit_nodes == tuple(encoding.entry_wires(1, 1)[0])
+        assert values.k == 4
+        assert isinstance(values.signed_binary(0), SignedBinaryNumber)
+        assert values.signed_binary(3).pos.bit_nodes == tuple(
+            encoding.entry_wires(1, 1)[0]
+        )
 
 
 class TestLeafBuilder:
@@ -51,7 +53,8 @@ class TestLeafBuilder:
         node_values = simulate(circuit, encoding.encode(matrix)).node_values
         for path in iter_paths(strassen.r, 2):
             expected = leaf_oracle(strassen, side, matrix, path)
-            assert leaves[path].value(node_values) == expected, (side, path)
+            leaf = leaves[path].signed_value(0)
+            assert leaf.value(node_values) == expected, (side, path)
 
     def test_leaf_count(self, strassen):
         builder = CircuitBuilder()
@@ -91,7 +94,7 @@ class TestProductStage:
         node_values = simulate(circuit, inputs).node_values
         for path in iter_paths(strassen.r, 1):
             expected = leaf_oracle(strassen, "A", a, path) * leaf_oracle(strassen, "B", b, path)
-            assert products[path].value(node_values) == expected
+            assert products[path].signed_value(0).value(node_values) == expected
 
     def test_requires_at_least_two_trees(self, strassen):
         builder = CircuitBuilder()

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.circuits.optimize import deduplicate_gates
 from repro.core.schedule import constant_depth_schedule, loglog_schedule
 from repro.core.trace_circuit import TraceCircuit, build_trace_circuit, default_bit_width
+from repro.engine import Engine
 from repro.fastmm.winograd import winograd_2x2
 
 
@@ -86,13 +88,15 @@ class TestResourceBounds:
         circuit = build_trace_circuit(2, 2, bit_width=1, depth_parameter=1)
         assert len(circuit.circuit.outputs) == 1
 
-    def test_share_gates_never_increases_size(self):
+    def test_deduplicate_gates_never_increases_size(self):
         plain = build_trace_circuit(4, 3, bit_width=1, depth_parameter=2)
-        shared = build_trace_circuit(4, 3, bit_width=1, depth_parameter=2, share_gates=True)
-        assert shared.circuit.size <= plain.circuit.size
+        shared, _ = deduplicate_gates(plain.circuit)
+        assert shared.size <= plain.circuit.size
+        assert shared.depth == plain.circuit.depth
 
-    def test_share_gates_preserves_semantics(self, rng):
-        matrix = rng.integers(0, 2, (4, 4))
-        trace = reference_trace(matrix)
-        shared = build_trace_circuit(4, trace, bit_width=1, depth_parameter=2, share_gates=True)
-        assert shared.evaluate(matrix) is True
+    def test_deduplicate_gates_preserves_decisions(self, rng):
+        tc = build_trace_circuit(4, 3, bit_width=1, depth_parameter=2)
+        shared, _ = deduplicate_gates(tc.circuit)
+        matrices = rng.integers(-1, 2, (16, 4, 4))
+        decisions = Engine().evaluate(shared, tc.encoding.encode(matrices)).outputs[0]
+        assert decisions.astype(bool).tolist() == [tc.reference(m) for m in matrices]

@@ -3,9 +3,9 @@
 The whole point of running the unchanged constructions against
 :class:`CountingBuilder` is that the reported size/depth/edges/fan-in and
 per-tag counts *cannot* drift from the real builders.  With the counting
-builder now riding the bulk/template fast path, that guarantee is load
-bearing — this suite pins it across the construction knobs (``stages``,
-``vectorize``, schedules) for both the matmul and the trace circuits.
+builder riding the bulk/template path, that guarantee is load bearing —
+this suite pins it against the built circuits across ``stages``, bit
+widths and schedules for both the matmul and the trace circuits.
 """
 
 import numpy as np
@@ -42,26 +42,14 @@ def _assert_cost_matches(cost, circuit):
     stages=st.integers(min_value=1, max_value=2),
     bit_width=st.integers(min_value=1, max_value=2),
     depth_parameter=st.integers(min_value=1, max_value=2),
-    count_vectorized=st.booleans(),
-    build_vectorized=st.booleans(),
 )
 @settings(max_examples=20, deadline=None)
-def test_count_matmul_matches_built_stats(
-    n, stages, bit_width, depth_parameter, count_vectorized, build_vectorized
-):
+def test_count_matmul_matches_built_stats(n, stages, bit_width, depth_parameter):
     cost = count_matmul_circuit(
-        n,
-        bit_width=bit_width,
-        depth_parameter=depth_parameter,
-        stages=stages,
-        vectorize=count_vectorized,
+        n, bit_width=bit_width, depth_parameter=depth_parameter, stages=stages
     )
     built = build_matmul_circuit(
-        n,
-        bit_width=bit_width,
-        depth_parameter=depth_parameter,
-        stages=stages,
-        vectorize=build_vectorized,
+        n, bit_width=bit_width, depth_parameter=depth_parameter, stages=stages
     )
     _assert_cost_matches(cost, built.circuit)
 
@@ -70,19 +58,11 @@ def test_count_matmul_matches_built_stats(
     n=st.sampled_from([2, 4]),
     stages=st.integers(min_value=1, max_value=2),
     tau=st.integers(min_value=-3, max_value=8),
-    count_vectorized=st.booleans(),
-    build_vectorized=st.booleans(),
 )
 @settings(max_examples=20, deadline=None)
-def test_count_trace_matches_built_stats(
-    n, stages, tau, count_vectorized, build_vectorized
-):
-    cost = count_trace_circuit(
-        n, tau=tau, depth_parameter=1, stages=stages, vectorize=count_vectorized
-    )
-    built = build_trace_circuit(
-        n, tau, depth_parameter=1, stages=stages, vectorize=build_vectorized
-    )
+def test_count_trace_matches_built_stats(n, stages, tau):
+    cost = count_trace_circuit(n, tau=tau, depth_parameter=1, stages=stages)
+    built = build_trace_circuit(n, tau, depth_parameter=1, stages=stages)
     _assert_cost_matches(cost, built.circuit)
 
 
@@ -91,9 +71,3 @@ def test_count_default_schedule_matches_built():
     cost = count_matmul_circuit(8)
     built = build_matmul_circuit(8)
     _assert_cost_matches(cost, built.circuit)
-
-
-def test_counting_paths_agree_with_each_other():
-    fast = count_matmul_circuit(4, depth_parameter=2)
-    slow = count_matmul_circuit(4, depth_parameter=2, vectorize=False)
-    assert fast == slow

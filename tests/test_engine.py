@@ -287,11 +287,10 @@ class TestTemplateCacheAliasing:
 
     The cache key is (structural_hash, backend) on purpose: a circuit
     compiles to bit-identical programs whether its gates run as template
-    blocks or as residual runs, so a ``banked=False`` (or even
-    ``vectorize=False``, provenance-free) rebuild of the same circuit must
-    *hit* the entry a template compile stored — not coexist beside it — and
-    eviction under ``cache_size=1`` must never hand back a program for the
-    wrong circuit.
+    blocks or as residual runs, so a rebuild of the same circuit — with its
+    provenance or with ``template_blocks`` cleared — must *hit* the entry a
+    template compile stored, not coexist beside it, and eviction under
+    ``cache_size=1`` must never hand back a program for the wrong circuit.
     """
 
     @staticmethod
@@ -303,34 +302,40 @@ class TestTemplateCacheAliasing:
         )
 
     @staticmethod
-    def _build(n=3, **kwargs):
+    def _build(n=3):
         from repro.core.naive_circuits import build_naive_matmul_circuit
 
-        return build_naive_matmul_circuit(n, bit_width=1, stages=2, **kwargs).circuit
+        return build_naive_matmul_circuit(n, bit_width=1, stages=2).circuit
 
-    def test_template_blocks_then_unbanked_rebuild_hits_same_entry(self):
+    @classmethod
+    def _build_stripped(cls, n=3):
+        """A fresh rebuild without template provenance."""
+        circuit = cls._build(n)
+        circuit.template_blocks = []
+        return circuit
+
+    def test_template_blocks_then_stripped_rebuild_hits_same_entry(self):
         engine = self._engine()
-        banked = self._build()
-        assert banked.template_blocks  # the compile below is template-tiled
-        program = engine.compile(banked)
+        original = self._build()
+        assert original.template_blocks  # the compile below is template-tiled
+        program = engine.compile(original)
         assert engine.compile_calls == 1
 
-        stamped = self._build(banked=False)  # PR-2 ablation rebuild
-        assert stamped.structural_hash() == banked.structural_hash()
-        assert engine.compile(stamped) is program
-        legacy = self._build(vectorize=False)  # no template provenance at all
-        assert not legacy.template_blocks
-        assert engine.compile(legacy) is program
+        rebuilt = self._build()
+        assert rebuilt.structural_hash() == original.structural_hash()
+        assert engine.compile(rebuilt) is program
+        stripped = self._build_stripped()
+        assert engine.compile(stripped) is program
         assert engine.compile_calls == 1
         assert engine.cache_info().hits == 2
 
     def test_residual_compile_first_then_template_circuit_hits(self):
         engine = self._engine()
-        legacy = self._build(vectorize=False)
-        assert build_template_plan(legacy).covered_gates == 0  # residual only
-        program = engine.compile(legacy)
-        banked = self._build()
-        assert engine.compile(banked) is program
+        stripped = self._build_stripped()
+        assert build_template_plan(stripped).covered_gates == 0  # residual only
+        program = engine.compile(stripped)
+        original = self._build()
+        assert engine.compile(original) is program
         assert engine.compile_calls == 1
 
     def test_maxsize_one_eviction_never_returns_stale_program(self):

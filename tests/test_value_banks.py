@@ -1,9 +1,9 @@
 """Value banks: array-native Rep/SignedValue interfaces between stages.
 
 Covers the bank containers themselves (scalar views, gathers, overrides),
-the banked gadget emitters' wire-for-wire equality with the scalar paths,
-and the CountingBuilder regressions that rode along (depth-memoization fix,
-bulk protocol).
+the banked gadget emitters' wire-for-wire equality with the grouping
+emitters, and the CountingBuilder regressions that rode along (depths of a
+reused source list, bulk protocol).
 """
 
 import numpy as np
@@ -21,14 +21,8 @@ from repro.arithmetic.signed import (
 from repro.arithmetic.weighted_sum import build_signed_sum_banks, build_signed_sums
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.counting import CountingBuilder
-from repro.core.direct_circuit import build_direct_matmul_circuit
-from repro.core.leaf_builder import matrix_of_input_banks, matrix_of_inputs
-from repro.core.matmul_circuit import build_matmul_circuit
-from repro.core.naive_circuits import (
-    build_naive_matmul_circuit,
-    build_naive_trace_circuit,
-)
-from repro.core.trace_circuit import build_trace_circuit
+from repro.core.leaf_builder import matrix_of_input_banks
+from repro.core.naive_circuits import build_naive_matmul_circuit
 from repro.util.encoding import MatrixEncoding
 
 
@@ -99,14 +93,12 @@ class TestBanks:
     def test_input_bank_matches_scalar_matrix(self):
         encoding = MatrixEncoding(3, 2, offset=5)
         bank = matrix_of_input_banks(encoding)
-        scalars = matrix_of_inputs(encoding)
-        for i in range(3):
-            for j in range(3):
-                assert bank.signed_binary(i * 3 + j) == scalars[i, j]
         transposed = matrix_of_input_banks(encoding, transpose=True)
         for i in range(3):
             for j in range(3):
-                assert transposed.signed_binary(i * 3 + j) == scalars[j, i]
+                entry = SignedBinaryNumber.from_input_bits(*encoding.entry_wires(i, j))
+                assert bank.signed_binary(i * 3 + j) == entry
+                assert transposed.signed_binary(j * 3 + i) == entry
 
 
 # --------------------------------------------------------------------------- #
@@ -207,29 +199,11 @@ class TestBankedEmitters:
 
 
 # --------------------------------------------------------------------------- #
-# End-to-end: banked pipeline == stamped == legacy, wire for wire.
+# End-to-end: the banked pipeline computes the product.
 # --------------------------------------------------------------------------- #
 
 
 class TestBankedPipelines:
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda **kw: build_naive_matmul_circuit(4, stages=2, **kw),
-            lambda **kw: build_naive_trace_circuit(3, 5, **kw),
-            lambda **kw: build_matmul_circuit(4, depth_parameter=1, **kw),
-            lambda **kw: build_trace_circuit(4, 7, depth_parameter=2, **kw),
-            lambda **kw: build_direct_matmul_circuit(4, stages=2, **kw),
-        ],
-    )
-    def test_three_paths_hash_identical(self, build):
-        banked = build().circuit
-        stamped = build(banked=False).circuit
-        legacy = build(vectorize=False).circuit
-        assert banked.structural_hash() == legacy.structural_hash()
-        assert stamped.structural_hash() == legacy.structural_hash()
-        assert banked.stats() == legacy.stats()
-
     def test_banked_matmul_evaluates(self, rng):
         built = build_naive_matmul_circuit(3)
         hi = 2 ** built.bit_width
@@ -245,8 +219,8 @@ class TestBankedPipelines:
 
 class TestCountingBuilder:
     def test_depth_memo_survives_source_list_mutation(self):
-        """Regression: the depth memo must not serve stale maxima when a
-        caller appends to (and reuses) the same source list between gates."""
+        """Regression: depths stay right when a caller appends to (and
+        reuses) the same source list between gates."""
         counting = CountingBuilder(name="memo")
         inputs = counting.allocate_inputs(2)
         shared = [inputs[0]]
