@@ -1,26 +1,34 @@
-"""E21 — Disk artifact cache: cold-start restore vs full recompile.
+"""E21 — Disk artifact cache: cold-start restore vs the paths it replaces.
 
 The disk artifact store exists so a process that has *already* compiled a
 circuit — in a previous run, on another worker, on the same host yesterday
-— never pays the compile again.  This benchmark measures exactly that gap.
+— never pays the compile again.  This benchmark measures that gap against
+three starting points:
 
-Both sides start from the same place: a serialized circuit payload, which
-is all a fresh consumer process has.  The cold side pays the full pipeline
-— rebuild the circuit from its payload (``circuit_from_dict`` with
-validation *disabled*, which is charitable to the cold side), recompute
-the structural hash, and run the consolidated-CSR compile (the JSON
-round-trip drops template provenance, so this is the classic compile a
-``load_circuit`` caller gets).  The warm side replaces all three steps
-with a single key-addressed ``DiskArtifactStore.get``, which includes the
-full integrity pass (per-file SHA-256) plus the memmap-backed unpickle.
+* **Gated: a version-1 JSON payload**, the format of every file written
+  before the columnar format.  The cold side rebuilds the circuit from it
+  (``circuit_from_dict`` with validation *disabled*, which is charitable
+  to the cold side), recomputes the structural hash and compiles.  v1 drops
+  template provenance, so this is the residual-run compile a v1
+  ``load_circuit`` caller gets.  The baseline is pinned to v1 so the floor
+  keeps guarding the restore, not the speed of the current format.
+* **Ungated: a version-2 payload** (``circuit_to_dict`` today): columnar
+  load with provenance, hash, template compile.
+* **Ungated: the constructor**: build the circuit, hash, template compile.
+
+Each cold path is one row (``cold_path``), timed best of ``ROUNDS`` per
+step.  The warm side replaces each of them with a single key-addressed
+``DiskArtifactStore.get``, which includes the full integrity pass
+(per-file SHA-256) plus the memmap-backed unpickle; ``speedup`` is the
+cold path over the restore and ``compile_speedup`` its compile step alone
+over the restore.
 
 Publication uses the template-compiled program from the producer process;
 the structural hash deliberately excludes provenance, so the artifact hits
 for the provenance-less consumer circuit — and the restored program must
 be bit-identical to the consumer's own fresh compile on a probe batch.
 The headline case (naive matmul n = 64) must restore at least 100x faster
-than the cold pipeline; measured headroom on the reference machine is
-roughly 10x beyond the floor.
+than the v1 cold pipeline.
 
 Rows follow the bench_e* convention and are written to ``BENCH_e21.json``
 at the repository root (uploaded by CI alongside e17–e20).  Set
@@ -38,6 +46,7 @@ import numpy as np
 
 from benchmarks.conftest import report
 from repro.circuits.serialize import circuit_from_dict, circuit_to_dict
+from repro.core.matmul_circuit import build_matmul_circuit
 from repro.core.naive_circuits import build_naive_matmul_circuit
 from repro.engine import DiskArtifactStore, Engine, EngineConfig
 
@@ -48,28 +57,78 @@ BACKEND = "sparse"
 ROUNDS = 3
 
 
-def _restore_case(name, n, required):
-    built = build_naive_matmul_circuit(n, bit_width=1, stages=2)
-    payload = circuit_to_dict(built.circuit)
+def _v1_payload(circuit):
+    """The circuit as the version-1 writer stored it: one list per gate."""
+    cols = circuit.columnar()
+    sources = cols.sources.tolist()
+    weights = cols.weights.tolist()
+    offsets = cols.offsets.tolist()
+    gates = [
+        [sources[lo:hi], weights[lo:hi], threshold, tag]
+        for lo, hi, threshold, tag in zip(
+            offsets, offsets[1:], cols.thresholds.tolist(), circuit.store.tags()
+        )
+    ]
+    return {
+        "format": "repro-threshold-circuit",
+        "version": 1,
+        "name": circuit.name,
+        "n_inputs": circuit.n_inputs,
+        "gates": gates,
+        "outputs": list(circuit.outputs),
+        "output_labels": list(circuit.output_labels),
+        "metadata": dict(circuit.metadata),
+    }
 
-    # Producer process: compiles the as-built circuit (template provenance
-    # intact, so the published artifact is the compact template program)
-    # and publishes it under the structural hash.
-    producer_hash = built.circuit.structural_hash()
-    template_program = Engine(EngineConfig(backend=BACKEND)).compile(built.circuit)
 
-    # Consumer cold path: payload -> circuit -> hash -> compile.
+def _timed(fn):
     start = time.perf_counter()
-    circuit = circuit_from_dict(payload, validate=False)
-    rebuild_s = time.perf_counter() - start
-    start = time.perf_counter()
-    key_hash = circuit.structural_hash()
-    hash_s = time.perf_counter() - start
-    assert key_hash == producer_hash
-    start = time.perf_counter()
-    program = Engine(EngineConfig(backend=BACKEND)).compile(circuit)
-    compile_s = time.perf_counter() - start
-    cold_s = rebuild_s + hash_s + compile_s
+    value = fn()
+    return value, time.perf_counter() - start
+
+
+def _compile(circuit):
+    return Engine(EngineConfig(backend=BACKEND)).compile(circuit)
+
+
+def _cold_path(make_circuit):
+    """Best of ``ROUNDS`` make -> hash -> compile runs.
+
+    Returns the last run's circuit, hash and program, and the fastest time
+    of each of the three steps.
+    """
+    best = [float("inf")] * 3
+    for _ in range(ROUNDS):
+        circuit = program = None  # free the previous round before the next
+        circuit, make_s = _timed(make_circuit)
+        key_hash, hash_s = _timed(circuit.structural_hash)
+        program, compile_s = _timed(lambda: _compile(circuit))
+        best = [min(a, b) for a, b in zip(best, (make_s, hash_s, compile_s))]
+    return circuit, key_hash, program, best
+
+
+def _restore_case(name, build, required):
+    """One row per cold path: the gated v1 payload, then the ungated v2
+    payload and constructor baselines, each against the same restore."""
+    built, producer_hash, template_program, build_steps = _cold_path(build)
+
+    # Gated consumer cold path: v1 payload -> circuit -> hash -> compile.
+    v1 = _v1_payload(built)
+    circuit, key_hash, program, v1_steps = _cold_path(
+        lambda: circuit_from_dict(v1, validate=False)
+    )
+    del v1
+    assert key_hash == producer_hash and not circuit.template_blocks
+
+    # Ungated: the v2 payload keeps provenance, so it compiles templates.
+    v2 = circuit_to_dict(built)
+    loaded, v2_hash, _, v2_steps = _cold_path(
+        lambda: circuit_from_dict(v2, validate=False)
+    )
+    del v2
+    assert v2_hash == producer_hash
+    assert len(loaded.template_blocks) == len(built.template_blocks)
+    del loaded
 
     directory = tempfile.mkdtemp(prefix="bench-e21-")
     try:
@@ -92,41 +151,71 @@ def _restore_case(name, n, required):
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
-    return {
-        "case": name,
-        "backend": BACKEND,
-        "gates": circuit.size,
-        "edges": circuit.edges,
-        "payload_bytes": payload_bytes,
-        "rebuild_s": round(rebuild_s, 4),
-        "hash_s": round(hash_s, 4),
-        "compile_s": round(compile_s, 4),
-        "cold_s": round(cold_s, 4),
-        "restore_s": round(restore_s, 6),
-        "speedup": round(cold_s / restore_s, 2) if restore_s else float("inf"),
-        "bit_identical": bit_identical,
-        "required": required,
-    }
+    def ratio(seconds):
+        return round(seconds / restore_s, 2) if restore_s else float("inf")
+
+    rows = []
+    for cold_path, steps, gate in (
+        ("v1 payload", v1_steps, required),
+        ("v2 payload", v2_steps, None),
+        ("constructor", build_steps, None),
+    ):
+        circuit_s, hash_s, compile_s = steps
+        cold_s = circuit_s + hash_s + compile_s
+        rows.append(
+            {
+                "case": name,
+                "cold_path": cold_path,
+                "backend": BACKEND,
+                "gates": circuit.size,
+                "edges": circuit.edges,
+                "payload_bytes": payload_bytes,
+                # Seconds to get the circuit: payload rebuild or construction.
+                "circuit_s": round(circuit_s, 4),
+                "hash_s": round(hash_s, 4),
+                "compile_s": round(compile_s, 4),
+                "cold_s": round(cold_s, 4),
+                "restore_s": round(restore_s, 6),
+                "speedup": ratio(cold_s),
+                "compile_speedup": ratio(compile_s),
+                "bit_identical": bit_identical,
+                "required": gate,
+            }
+        )
+    return rows
+
+
+def _naive(n):
+    return lambda: build_naive_matmul_circuit(n, bit_width=1, stages=2).circuit
 
 
 def test_e21_disk_artifact_restore(benchmark):
     if QUICK:
         cases = [
-            # Small circuits leave less cold work to skip (~75x measured);
-            # CI-safe floor.
-            ("naive-matmul n=16 b=1 stages=2", 16, 10.0),
+            # Small circuits leave less cold work to skip; CI-safe floor.
+            ("naive-matmul n=16 b=1 stages=2", _naive(16), 10.0),
         ]
     else:
         cases = [
-            # Acceptance target: >= 100x.  Measured ~2700x (cold ~108 s,
-            # restore ~40 ms) on the reference machine.
-            ("naive-matmul n=64 b=1 stages=2", 64, 100.0),
-            # Measured ~240x.
-            ("naive-matmul n=32 b=1 stages=2", 32, 50.0),
+            # Acceptance target: >= 100x.  BENCH_e21.json records ~1300x
+            # (cold ~106 s, restore ~82 ms) on the reference machine.
+            ("naive-matmul n=64 b=1 stages=2", _naive(64), 100.0),
+            # Recorded ~170x.
+            ("naive-matmul n=32 b=1 stages=2", _naive(32), 50.0),
+            # Reported only: the circuit the repo benchmark loads.
+            (
+                "strassen n=8 b=1",
+                lambda: build_matmul_circuit(8, bit_width=1).circuit,
+                None,
+            ),
         ]
 
     def compute_rows():
-        return [_restore_case(name, n, required) for name, n, required in cases]
+        return [
+            row
+            for name, build, required in cases
+            for row in _restore_case(name, build, required)
+        ]
 
     rows = benchmark.pedantic(compute_rows, rounds=1, iterations=1)
     report("E21: disk-artifact restore vs cold compile", rows)
@@ -136,4 +225,5 @@ def test_e21_disk_artifact_restore(benchmark):
 
     for row in rows:
         assert row["bit_identical"], row
-        assert row["speedup"] >= row["required"], row
+        if row["required"] is not None:
+            assert row["speedup"] >= row["required"], row

@@ -230,8 +230,8 @@ class ThresholdCircuit:
         # (appended by the builder's ``note_template_block`` hook, in node-id
         # order).  Purely additive metadata — the columnar store stays the
         # single source of truth for structure, hashing and stats, and
-        # circuits without stamping (deserialization, the optimizer) simply
-        # leave this empty and compile as residual runs.
+        # circuits without stamping (version-1 JSON loads, the optimizer)
+        # simply leave this empty and compile as residual runs.
         self.template_blocks: List[object] = []
         self._structural_hash: Optional[str] = None  # cache, invalidated on mutation
         self._stats: Optional[CircuitStats] = None  # cache, same lifecycle

@@ -37,6 +37,7 @@ __all__ = [
     "accumulate_tag_counts",
     "csr_dirty_rows",
     "csr_max_magnitude",
+    "depth_issue",
     "gather_ranges",
     "group_by_depth",
     "iter_depth_layers",
@@ -77,9 +78,22 @@ def csr_dirty_rows(sources, rows) -> np.ndarray:
     The single duplicate-wire detection shared by the circuit, counting and
     template-recording bulk appends, so canonicalization semantics cannot
     drift between the build and dry-run paths.
+
+    ``rows`` maps each wire to its batch row and is non-decreasing (CSR
+    order).  A row whose sources strictly increase holds no duplicate, so
+    only the other rows go through the sort.
     """
     if not len(sources):
         return np.empty(0, dtype=np.int64)
+    unsorted = (rows[1:] == rows[:-1]) & (sources[1:] <= sources[:-1])
+    if not unsorted.any():
+        return np.empty(0, dtype=np.int64)
+    candidates = np.unique(rows[1:][unsorted])
+    lo = np.searchsorted(rows, candidates, side="left")
+    hi = np.searchsorted(rows, candidates, side="right")
+    wires = gather_ranges(lo, hi - lo)
+    sources = sources[wires]
+    rows = rows[wires]
     order = np.lexsort((sources, rows))
     s_sorted = sources[order]
     r_sorted = rows[order]
@@ -87,6 +101,30 @@ def csr_dirty_rows(sources, rows) -> np.ndarray:
     if not dup_wire.any():
         return np.empty(0, dtype=np.int64)
     return np.unique(r_sorted[1:][dup_wire])
+
+
+def depth_issue(n_inputs, sources, offsets, depths, label="gate") -> Optional[str]:
+    """Check recorded gate depths against the wiring; None when they agree.
+
+    The one depth rule of the package: inputs sit at depth 0 and every
+    gate at 1 + the maximum depth of its sources (1 for a gate without
+    wires).  Every source must precede its gate, so checking each gate
+    against its sources' *recorded* depths in one pass proves all of them.
+    Returns a message naming the first mismatched gate (node id
+    ``n_inputs + index``, prefixed by ``label``).
+    """
+    depths = np.asarray(depths, dtype=np.int64)
+    node_depths = np.concatenate([np.zeros(n_inputs, dtype=np.int64), depths])
+    expected = 1 + segment_max(node_depths[sources], offsets)
+    mismatched = np.nonzero(expected != depths)[0]
+    if not mismatched.size:
+        return None
+    gate = int(mismatched[0])
+    return (
+        f"{label} {n_inputs + gate}: recorded depth {int(depths[gate])} "
+        f"!= wiring depth {int(expected[gate])} "
+        f"({mismatched.size} gate(s) total)"
+    )
 
 
 def accumulate_tag_counts(counts, tag, n_new, tag_counts=None, decode=None) -> None:
@@ -430,6 +468,10 @@ class GateStore:
 
     def tag_of_code(self, code: int) -> str:
         return self._tags.decode(code)
+
+    def tag_table(self) -> List[str]:
+        """The interned tag strings, index-aligned with ``tag_codes``."""
+        return self._tags.strings()
 
     # ---------------------------------------------------------------- appends
     def append(

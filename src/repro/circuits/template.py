@@ -439,6 +439,9 @@ class CompiledTemplate:
     or lower-relative-depth local gates, so evaluating the layers in order
     is topologically valid for every stamped copy regardless of where the
     copy's actual parameters sit in the host circuit.
+
+    Built from plain arrays, so a recorded template and one read back from
+    a file derive their layers and ``max_magnitude`` the same way.
     """
 
     __slots__ = (
@@ -455,17 +458,23 @@ class CompiledTemplate:
         "int64_ok",
     )
 
-    def __init__(self, template: "GadgetTemplate") -> None:
-        if template.wireless:
-            raise ValueError("wireless (counting-only) templates carry no wires")
-        self.n_params = template.n_params
-        self.n_gates = template.n_gates
-        self.n_locals = template.n_params + template.n_gates
-        self.sources = template.sources
-        self.offsets = template.offsets
-        self.weights = template.weights
-        self.thresholds = template.thresholds
-        self.rel_depths = template.rel_depths
+    def __init__(
+        self,
+        n_params: int,
+        sources: np.ndarray,
+        offsets: np.ndarray,
+        weights: np.ndarray,
+        thresholds: np.ndarray,
+        rel_depths: np.ndarray,
+    ) -> None:
+        self.n_params = int(n_params)
+        self.n_gates = len(offsets) - 1
+        self.n_locals = self.n_params + self.n_gates
+        self.sources = sources
+        self.offsets = offsets
+        self.weights = weights
+        self.thresholds = thresholds
+        self.rel_depths = rel_depths
         self.int64_ok = (
             self.weights.dtype != object and self.thresholds.dtype != object
         )
@@ -619,7 +628,14 @@ class GadgetTemplate:
         if self.wireless:
             return None
         if self._compiled is None:
-            self._compiled = CompiledTemplate(self)
+            self._compiled = CompiledTemplate(
+                self.n_params,
+                self.sources,
+                self.offsets,
+                self.weights,
+                self.thresholds,
+                self.rel_depths,
+            )
         return self._compiled
 
     def stamp(

@@ -629,10 +629,11 @@ def _cmd_verify(args, stream) -> int:
     reports = []
     for path in args.circuits:
         try:
-            # The verifier re-checks structure/provenance itself (and reports
-            # them as findings, not exceptions), so load without the default
-            # load-time validation to avoid doing the work twice.
-            circuit = load_circuit(path, validate=False)
+            # The verifier runs the structure and provenance passes itself
+            # (and reports them as findings, not exceptions), so load
+            # without them to avoid doing the work twice.  The loader's
+            # input checks still run.
+            circuit = load_circuit(path, trusted=True)
         except Exception as exc:  # noqa: BLE001 - per-file error becomes a finding
             report = StaticReport(target=str(path))
             report.issues.append(f"failed to load circuit: {exc}")

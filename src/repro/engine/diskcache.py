@@ -57,10 +57,11 @@ __all__ = [
     "default_artifact_dir",
 ]
 
-#: Bump when the on-disk artifact layout, or the class or layout of a
-#: pickled program (anything that would make an old pickle unsafe to trust),
-#: changes; old artifacts become invisible.
-ARTIFACT_VERSION = 2
+#: Bump when the on-disk artifact layout, the class or layout of a pickled
+#: program (anything that would make an old pickle unsafe to trust), or the
+#: format of the bundled ``circuit.json`` changes; old artifacts become
+#: invisible, so an older reader never meets a bundle it cannot load.
+ARTIFACT_VERSION = 3
 
 _META_FORMAT = "repro-compiled-artifact"
 _META_NAME = "meta.json"

@@ -49,8 +49,8 @@ from repro.circuits.simulator import (
 from repro.circuits.store import (
     Columns,
     csr_max_magnitude,
+    depth_issue,
     iter_depth_layers,
-    segment_max,
     segment_sum,
 )
 
@@ -196,19 +196,9 @@ def structure_issues(circuit: ThresholdCircuit) -> List[str]:
             return issues
 
     if n_gates:
-        depths = circuit.gate_depths()
-        node_depths = np.concatenate(
-            [np.zeros(n_inputs, dtype=np.int64), np.asarray(depths, dtype=np.int64)]
-        )
-        expected = 1 + segment_max(node_depths[sources], offsets)
-        mismatched = np.nonzero(expected != depths)[0]
-        if mismatched.size:
-            gate = int(mismatched[0])
-            issues.append(
-                f"gate {n_inputs + gate}: recorded depth {int(depths[gate])} "
-                f"!= wiring depth {int(expected[gate])} "
-                f"({mismatched.size} gate(s) total)"
-            )
+        issue = depth_issue(n_inputs, sources, offsets, circuit.gate_depths())
+        if issue is not None:
+            issues.append(issue)
 
     n_nodes = n_inputs + n_gates
     for out in circuit.outputs:

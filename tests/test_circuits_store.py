@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.circuit import ThresholdCircuit
@@ -12,7 +13,7 @@ from repro.circuits.serialize import (
     structural_digest,
 )
 from repro.circuits.simulator import build_template_plan, simulate
-from repro.circuits.store import IntVector, segment_max, segment_sum
+from repro.circuits.store import IntVector, csr_dirty_rows, segment_max, segment_sum
 
 
 class TestIntVector:
@@ -56,6 +57,43 @@ def _bulk(circuit, rows, **kwargs):
         [row[2] for row in rows],
         **kwargs,
     )
+
+
+def _dirty_rows_by_lexsort(sources, rows):
+    """The sort-every-wire duplicate detection the fast path must match."""
+    if not len(sources):
+        return np.empty(0, dtype=np.int64)
+    order = np.lexsort((sources, rows))
+    s_sorted = sources[order]
+    r_sorted = rows[order]
+    dup_wire = (s_sorted[1:] == s_sorted[:-1]) & (r_sorted[1:] == r_sorted[:-1])
+    if not dup_wire.any():
+        return np.empty(0, dtype=np.int64)
+    return np.unique(r_sorted[1:][dup_wire])
+
+
+_ROW = st.one_of(
+    st.lists(st.integers(0, 12), max_size=6),  # unsorted, may repeat
+    st.lists(st.integers(0, 40), max_size=6, unique=True).map(sorted),  # sorted
+    st.just([]),
+)
+
+
+class TestDirtyRows:
+    @settings(max_examples=300, deadline=None)
+    @given(batch=st.lists(_ROW, max_size=12))
+    def test_fast_path_matches_lexsort(self, batch):
+        lens = np.asarray([len(row) for row in batch], dtype=np.int64)
+        sources = np.asarray(
+            [s for row in batch for s in row], dtype=np.int64
+        ).reshape(-1)
+        rows = np.repeat(np.arange(len(batch), dtype=np.int64), lens)
+        got = csr_dirty_rows(sources, rows)
+        want = _dirty_rows_by_lexsort(sources, rows)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert got.tolist() == [
+            i for i, row in enumerate(batch) if len(set(row)) != len(row)
+        ]
 
 
 class TestBulkAddGates:

@@ -5,11 +5,13 @@ The engine compiles one plan form — template blocks for the gates the
 circuit's provenance covers, residual runs for every other gate — into
 three backends.  A circuit whose provenance is stripped (a shallow copy
 with ``template_blocks = []``: same store, same structural hash) compiles
-every gate as residual runs.  This module is the single place where both
-are pinned against each other and against the gate-by-gate reference
-``evaluate_slow``:
+every gate as residual runs; a circuit loaded back from its JSON payload
+keeps its provenance and must compile to the same plan coverage.  This
+module is the single place where all three are pinned against each other
+and against the gate-by-gate reference ``evaluate_slow``:
 
-    {provenance kept, provenance stripped} x {sparse, dense, exact}
+    {provenance kept, provenance stripped, loaded from JSON}
+        x {sparse, dense, exact}
 
 on every construction family (matmul / trace / direct / naive), on the
 corners the plan builder must handle (refused provenance, weights beyond
@@ -20,6 +22,7 @@ offending path named.
 
 import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.circuit import ThresholdCircuit
+from repro.circuits.serialize import circuit_from_dict, circuit_to_dict
 from repro.circuits.simulator import build_template_plan
 from repro.core.direct_circuit import build_direct_matmul_circuit
 from repro.core.matmul_circuit import build_matmul_circuit
@@ -38,6 +42,7 @@ from repro.core.naive_circuits import (
 from repro.core.trace_circuit import build_trace_circuit
 from repro.engine import BackendError, Engine
 from repro.engine.config import EngineConfig
+from repro.statics import StaticVerificationError
 
 BACKENDS = ("sparse", "dense", "exact")
 
@@ -55,6 +60,11 @@ def _stripped(circuit):
     return stripped
 
 
+def _loaded(circuit):
+    """The circuit after a JSON round trip (provenance re-verified on load)."""
+    return circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit))))
+
+
 def _random_inputs(circuit, batch=4, seed=0):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2, size=(circuit.n_inputs, batch)).astype(np.int64)
@@ -68,21 +78,26 @@ def _reference(circuit, inputs):
 
 
 def assert_compile_equivalent(
-    circuit, inputs=None, require_templates=False, backends=BACKENDS
+    circuit, inputs=None, require_templates=False, backends=BACKENDS, loaded=True
 ):
-    """Provenance kept and stripped x backends reproduce the reference, bit for bit."""
+    """Provenance kept, stripped and loaded x backends reproduce the
+    reference, bit for bit.  ``loaded=False`` leaves out the JSON round
+    trip, for circuits whose provenance a load refuses."""
     if inputs is None:
         inputs = _random_inputs(circuit)
     reference = _reference(circuit, inputs)
+    covered = build_template_plan(circuit).covered_gates
     if require_templates:
-        assert build_template_plan(circuit).covered_gates, (
-            "expected template provenance on this circuit"
-        )
-    # One engine per variant: both share a structural hash, so one engine
-    # would serve the stripped copy the program compiled for the original.
-    engines = {"kept": _engine(), "stripped": _engine()}
+        assert covered, "expected template provenance on this circuit"
+    variants = [("kept", circuit), ("stripped", _stripped(circuit))]
+    if loaded:
+        variants.append(("loaded", _loaded(circuit)))
+        assert build_template_plan(variants[-1][1]).covered_gates == covered
+    # One engine per variant: all share a structural hash, so one engine
+    # would serve every copy the program compiled for the original.
+    engines = {label: _engine() for label, _ in variants}
     for backend in backends:
-        for label, variant in (("kept", circuit), ("stripped", _stripped(circuit))):
+        for label, variant in variants:
             result = engines[label].evaluate(variant, inputs, backend=backend)
             values = result.node_values
             assert values.shape == reference.shape
@@ -173,7 +188,10 @@ class TestPlanCorners:
         params[0, 0] = block.base
         circuit.template_blocks[0] = dataclasses.replace(block, params=params)
         assert build_template_plan(circuit).covered_gates == 0
-        assert_compile_equivalent(circuit)
+        # A JSON load refuses such provenance outright.
+        with pytest.raises(StaticVerificationError, match="parameter node ids"):
+            _loaded(circuit)
+        assert_compile_equivalent(circuit, loaded=False)
 
     def test_huge_weights_without_provenance(self):
         # Weights beyond int64 and no provenance at all: the residual plan
@@ -248,6 +266,9 @@ class TestOverflowTemplatePath:
         for backend in ("sparse", "dense"):
             with pytest.raises(BackendError):
                 engine.compile(circuit, backend=backend)
+        loaded = _loaded(circuit)
+        assert build_template_plan(loaded).covered_gates == circuit.size
+        assert (_engine().evaluate(loaded, inputs).node_values == reference).all()
 
 
 # --------------------------------------------------------------------------- #

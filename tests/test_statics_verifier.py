@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_compile_equivalence import _soup_circuit, assert_compile_equivalent
-from test_golden_counts import CANONICAL_CASES, CASES
+from test_golden_counts import CASES
 
 from repro.circuits.circuit import ThresholdCircuit
 from repro.circuits.serialize import circuit_to_dict, dump_circuit, load_circuit
@@ -83,21 +83,26 @@ class TestGoldenConstructions:
         # The interval analysis is a refinement: never looser than worst case.
         assert report.info["interval_max_magnitude"] <= plan.max_magnitude
 
-    def test_cli_verify_canonical_golden(self, tmp_path):
-        # The CLI reads JSON, which costs seconds per million wires, so the
-        # round trip covers the canonical constructions; test_verifies_clean
-        # verifies every golden circuit in-process.
+    def test_cli_verify_all_golden(self, tmp_path):
+        # Every golden circuit through the file round trip: the loaded
+        # circuits keep their provenance, so the CLI re-derives every
+        # template block as well.
         paths = []
-        for name in sorted(CANONICAL_CASES):
+        blocks = {}
+        for name in sorted(CASES):
             path = tmp_path / f"{name}.json"
-            dump_circuit(CANONICAL_CASES[name](), str(path))
+            circuit = CASES[name]()
+            dump_circuit(circuit, str(path))
             paths.append(str(path))
+            blocks[str(path)] = sum(1 for block in circuit.template_blocks if block.k)
         stream = io.StringIO()
         assert cli_main(["verify", *paths], stream=stream) == 0
         payload = json.loads(stream.getvalue())
         assert payload["ok"] is True
-        assert len(payload["reports"]) == len(CANONICAL_CASES)
+        assert len(payload["reports"]) == len(CASES)
         assert all(not r["issues"] for r in payload["reports"])
+        for report in payload["reports"]:
+            assert report["info"]["template_blocks"] == blocks[report["target"]]
 
 
 # --------------------------------------------------------------------------- #
