@@ -3,7 +3,8 @@
 The execution engine compiles a circuit once per backend and streams
 batches through it.  This experiment measures where each backend wins:
 
-* *dense* (int64 numpy matrices) on small/shallow circuits, where the CSR
+* *dense* (numpy matrices in the plan's numeric lane: float32 GEMMs on
+  these parity circuits) on small/shallow circuits, where the CSR
   bookkeeping of scipy dominates the actual arithmetic — the engine's
   auto-heuristic routes such circuits dense;
 * *sparse* (CSR) on the constructed trace circuits, whose thousands of

@@ -13,16 +13,18 @@ engine backend compiles this one plan.
 Exactness: weights and partial sums are integers.  The plan carries the
 exact worst-case magnitude over all gates of the weighted sum plus
 threshold (:func:`~repro.circuits.store.csr_max_magnitude`, exact beyond
-int64 too), and one whole-circuit ``int64_safe`` verdict decides whether
-machine-dtype backends may run it at all.  :func:`simulate` routes through
-the default engine, so one-shot callers get the compile cache and backend
+int64 too), and that one certificate picks the plan's numeric lane
+(:func:`numeric_lane`): the narrowest machine dtype in which every operand
+and every partial sum is an exactly represented integer, or ``"exact"``
+when no machine dtype is.  :func:`simulate` routes through the default
+engine, so one-shot callers get the compile cache and backend
 auto-selection for free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -35,10 +37,38 @@ __all__ = [
     "SimulationResult",
     "TemplatePlan",
     "build_template_plan",
+    "numeric_lane",
     "simulate",
 ]
 
+_FLOAT32_EXACT_LIMIT = 1 << 24
+_FLOAT64_EXACT_LIMIT = 1 << 53
 _INT64_SAFE_LIMIT = 1 << 62
+
+#: The numeric lanes of the matrix backends, narrowest first, each with the
+#: magnitude its integers stay exact below: the float mantissas hold every
+#: integer under ``2**24`` and ``2**53``, and int64 keeps a guard band under
+#: ``2**63``.
+_LANES = (
+    ("float32", _FLOAT32_EXACT_LIMIT),
+    ("float64", _FLOAT64_EXACT_LIMIT),
+    ("int64", _INT64_SAFE_LIMIT),
+)
+
+
+def numeric_lane(max_magnitude: int) -> str:
+    """The narrowest lane exact for a plan of this worst-case magnitude.
+
+    Every weight, threshold and node value is an integer, and every partial
+    weighted sum is bounded by ``max_magnitude`` (the worst case of
+    ``sum |w| + |t|``) whatever order it is added in; so a lane whose
+    integers are exact below its limit evaluates the plan bit for bit.
+    Returns ``"exact"`` when no machine lane is wide enough.
+    """
+    for name, limit in _LANES:
+        if max_magnitude < limit:
+            return name
+    return "exact"
 
 
 @dataclass
@@ -79,28 +109,31 @@ class TemplatePlan:
     inside template blocks (0 when every gate is residual).
 
     ``max_magnitude`` is the exact worst case, over all gates, of the
-    magnitude of the weighted sum plus threshold.  ``int64_safe`` is decided
-    for the *whole* circuit: either every segment runs in a machine dtype,
-    or the plan only compiles for the exact backend.
+    magnitude of the weighted sum plus threshold.  It certifies the plan's
+    :attr:`lane` for the *whole* circuit: every segment runs in one machine
+    dtype, or (``int64_safe`` false) the plan only compiles for the exact
+    backend.
     """
 
     n_inputs: int
     n_nodes: int
     outputs: List[int]
-    int64_safe: bool
     max_magnitude: int
     covered_gates: int
     size: int
     segments: List[object] = field(default_factory=list)
 
     @property
-    def float64_exact(self) -> bool:
-        """True when every weighted sum is exactly representable in float64.
+    def lane(self) -> str:
+        """The numeric lane the matrix backends run this plan in:
+        ``"float32"``, ``"float64"``, ``"int64"`` or ``"exact"``
+        (:func:`numeric_lane` of :attr:`max_magnitude`)."""
+        return numeric_lane(self.max_magnitude)
 
-        Lets the dense backend run on BLAS (float matmul) without losing a
-        single bit: all intermediate sums stay below ``2**53``.
-        """
-        return self.max_magnitude < (1 << 53)
+    @property
+    def int64_safe(self) -> bool:
+        """True when some machine lane runs the plan exactly."""
+        return self.lane != "exact"
 
 
 def _residual_segment(circuit, cols, depths, start, stop):
@@ -148,31 +181,38 @@ def _accepted_blocks(circuit: ThresholdCircuit, min_cover: float) -> list:
     not tile disjoint ranges of the gate index.
     """
     blocks = [block for block in circuit.template_blocks if block.k]
-    size = circuit.size
-    covered = 0
-    for block in blocks:
-        compiled = block.template  # a CompiledTemplate (slim, wire-carrying)
+    if not blocks:
+        return []
+    members: Dict[int, List[int]] = {}
+    for index, block in enumerate(blocks):
+        members.setdefault(id(block.template), []).append(index)
+    bases = np.array([block.base for block in blocks], dtype=np.int64)
+    lengths = np.empty(len(blocks), dtype=np.int64)  # gates per block
+    for indices in members.values():
+        compiled = blocks[indices[0]].template  # a CompiledTemplate
         if compiled is None or compiled.n_gates == 0:
             return []
-        params = block.params
-        if (
-            params.ndim != 2
-            or params.shape[1] != compiled.n_params
-            or (params.size and int(params.min()) < 0)
-            or (params.size and int(params.max()) >= block.base)
-        ):
+        params = [blocks[index].params for index in indices]
+        if any(p.ndim != 2 or p.shape[1] != compiled.n_params for p in params):
             return []
-        covered += block.k * compiled.n_gates
-    if not blocks or covered < min_cover * size:
+        ks = np.array([len(p) for p in params], dtype=np.int64)
+        lengths[indices] = ks * compiled.n_gates
+        if compiled.n_params:
+            # The template's stacked parameter rows in one pass, each row
+            # against the base of the block it came from.
+            rows = np.concatenate(params)
+            if rows.min() < 0 or (
+                rows.max(axis=1) >= np.repeat(bases[indices], ks)
+            ).any():
+                return []
+    if lengths.sum() < min_cover * circuit.size:
         return []
-    blocks.sort(key=lambda block: block.base)
-    cursor = 0  # gate index (node id - n_inputs)
-    for block in blocks:
-        first = block.base - circuit.n_inputs
-        if first < cursor or first + block.k * block.n_gates > size:
-            return []  # overlapping or out-of-range provenance
-        cursor = first + block.k * block.n_gates
-    return blocks
+    order = np.argsort(bases, kind="stable")
+    firsts = bases[order] - circuit.n_inputs  # gate index (node id - n_inputs)
+    ends = firsts + lengths[order]
+    if firsts[0] < 0 or (firsts[1:] < ends[:-1]).any() or ends[-1] > circuit.size:
+        return []  # overlapping or out-of-range provenance
+    return [blocks[index] for index in order.tolist()]
 
 
 def build_template_plan(
@@ -211,7 +251,6 @@ def build_template_plan(
         n_inputs=n_inputs,
         n_nodes=circuit.n_nodes,
         outputs=list(circuit.outputs),
-        int64_safe=max_magnitude < _INT64_SAFE_LIMIT,
         max_magnitude=max_magnitude,
         covered_gates=sum(block.k * block.n_gates for block in blocks),
         size=size,

@@ -31,6 +31,7 @@ emitting every copy directly):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -917,7 +918,10 @@ class GadgetStamper:
     COUNTING_GATES_PER_DEFER = 2048
 
     def __init__(self, builder) -> None:
-        self._builder = builder
+        # A weak proxy: the builder owns its stamper, and a strong reference
+        # back would make a cycle that keeps every built circuit (store,
+        # template blocks) alive until the cyclic collector runs.
+        self._builder = weakref.proxy(builder)
         self._templates: Dict[Any, Optional[GadgetTemplate]] = {}
         self._counting = bool(getattr(builder, "counts_only", False))
         # key -> [deferred copies seen, per-copy gadget size (0 = unknown)]

@@ -10,16 +10,14 @@ template layer; a residual run evaluates with one matrix product per depth
 layer.  Three backends cover the practical space:
 
 ``sparse``
-    CSR matrices: template layers over the template's local slots, residual
-    layers over the node columns.  Wins on large circuits, where the wire
-    structure is genuinely sparse and CSR keeps the arithmetic to the
-    realized wires.
+    scipy CSR matrices: template layers over the template's local slots,
+    residual layers over the node columns.  Wins on large circuits, where
+    the wire structure is genuinely sparse and CSR keeps the arithmetic to
+    the realized wires.  Runs on scipy's own CSR kernels, never on BLAS.
 ``dense``
     Dense numpy matrices: template layers over the local slots, residual
     layers over the layer's source rows (a view of their id range, or the
-    distinct rows gathered, then GEMM).
-    float64 (BLAS GEMM, still bit-exact) while every worst-case sum stays
-    below ``2**53``, int64 otherwise.  For small or shallow circuits the
+    distinct rows gathered, then GEMM).  For small or shallow circuits the
     per-call overhead of CSR (index juggling, format dispatch) dominates
     the flops; a dense GEMM over a few hundred rows is much faster.
 ``exact``
@@ -27,6 +25,14 @@ layer.  Three backends cover the practical space:
     (and over every stamp of a template) but looping over gates.  The only
     backend that is correct when a gate's worst-case weighted sum overflows
     int64; always exact, never fast.
+
+Both matrix backends run in the plan's numeric lane
+(:attr:`~repro.circuits.simulator.TemplatePlan.lane`), picked from its
+certified worst-case magnitude: float32 below ``2**24``, float64 below
+``2**53``, int64 below ``2**62``.  The lane covers the weight matrices, the
+thresholds and the node-value buffer, and is exact in any summation order
+because every operand and partial sum is an integer below the lane's limit.
+Plans past int64 compile for ``exact`` only.
 
 Selection is automatic per circuit (:func:`select_backend_name`) driven by
 the circuit's :class:`~repro.circuits.circuit.CircuitStats` and the plan's
@@ -92,12 +98,14 @@ class Backend(Protocol):
         ...
 
 
-def _require_safe(plan: TemplatePlan, backend: str) -> None:
-    if not plan.int64_safe:
+def _lane_dtype(plan: TemplatePlan, backend: str) -> np.dtype:
+    """The dtype of the plan's numeric lane, or BackendError past int64."""
+    if plan.lane == "exact":
         raise BackendError(
             f"circuit overflows int64; the {backend!r} backend would be inexact "
             "(use backend='exact' or 'auto')"
         )
+    return np.dtype(plan.lane)
 
 
 def _stamp_locals(values: np.ndarray, payload: tuple, dtype) -> np.ndarray:
@@ -158,9 +166,10 @@ class _SegmentProgram:
     over the layer's source rows (dense) — a view of their id range when
     they fill at least half of it, else the distinct rows gathered at most
     ``_GATHER_ROWS`` at a time.
-    ``values_dtype`` is the dtype of the node-value buffer: int64, or
-    float64 for the BLAS-backed dense path (exact while every weighted sum
-    stays below ``2**53``; values are 0.0/1.0 and sums are integral floats).
+    ``values_dtype`` is the plan's numeric lane, shared by the node-value
+    buffer, the weight matrices and the thresholds: float32, float64 or
+    int64.  Values are 0/1 and every sum is an integer below the lane's
+    exact limit, so a float lane compares as exactly as int64.
     """
 
     def __init__(
@@ -170,7 +179,7 @@ class _SegmentProgram:
         n_nodes: int,
         outputs: List[int],
         segments: List[tuple],
-        values_dtype=np.int64,
+        values_dtype: np.dtype,
     ) -> None:
         self.backend_name = backend_name
         self.n_inputs = n_inputs
@@ -208,13 +217,19 @@ class _SegmentProgram:
         return node_values.astype(np.int8)
 
 
+def _lane_array(values, dtype) -> np.ndarray:
+    """Integer weights or thresholds in the lane dtype (exact: the plan's
+    magnitude certificate bounds every entry)."""
+    return np.asarray(values, dtype=np.int64).astype(dtype, copy=False)
+
+
 def _weight_matrix(n_rows, n_cols, rows, cols, data, dense: bool, dtype):
     """An exact ``(n_rows, n_cols)`` weight matrix from COO triples.
 
     (row, col) pairs are unique: every emission path merges duplicate
     sources during canonicalization.
     """
-    data = np.asarray(data, dtype=np.int64)
+    data = _lane_array(data, dtype)
     if not dense:
         return sparse.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
     matrix = np.zeros((n_rows, n_cols), dtype=dtype)
@@ -239,7 +254,7 @@ def _template_layers(template, dense: bool, dtype) -> list:
             (
                 template.n_params + lgates,  # local rows to write
                 [(None, matrix)],
-                np.asarray(thresholds, dtype=np.int64).astype(dtype),
+                _lane_array(thresholds, dtype),
             )
         )
     return layers
@@ -250,11 +265,11 @@ def _residual_layer(
 ) -> tuple:
     """One residual depth layer as ``(nodes, terms, thresholds)``."""
     n_gates = len(layer.nodes)
-    thresholds = np.asarray(layer.thresholds, dtype=np.int64).astype(dtype)
+    thresholds = _lane_array(layer.thresholds, dtype)
     if not dense:
-        data = np.asarray(layer.data, dtype=np.int64)
         matrix = sparse.csr_matrix(
-            (data, layer.cols, layer.offsets), shape=(n_gates, n_nodes)
+            (_lane_array(layer.data, dtype), layer.cols, layer.offsets),
+            shape=(n_gates, n_nodes),
         )
         return layer.nodes, [(None, matrix)], thresholds
     sources, columns = np.unique(layer.cols, return_inverse=True)
@@ -317,8 +332,7 @@ def _lower_segments(plan: TemplatePlan, lower_template, lower_residual) -> list:
 def _compile_matrix(
     plan: TemplatePlan, backend_name: str, dense: bool
 ) -> _SegmentProgram:
-    _require_safe(plan, backend_name)
-    dtype = np.float64 if (dense and plan.float64_exact) else np.int64
+    dtype = _lane_dtype(plan, backend_name)
     segments = _lower_segments(
         plan,
         lambda template: _template_layers(template, dense, dtype),
@@ -349,15 +363,14 @@ class SparseBackend:
 class DenseBackend:
     """Dense numpy matrices per layer — fastest when circuits are small.
 
-    When every weighted sum fits exactly in float64 (magnitude below
-    ``2**53`` — true for all circuits this repository constructs) the
-    matrices are stored as float64 so the per-layer product runs on BLAS;
-    results are still bit-exact because 0/1 values, integer weights and
-    integral partial sums are all exactly representable.  Larger (but still
-    int64-safe) circuits fall back to integer matrices.  Template matrices
-    have ``n_params + n_gates`` columns and residual matrices one column per
-    source row of the layer (not ``n_nodes``), so the dense form stays cheap
-    however large the host circuit is.
+    The matrices are stored in the plan's numeric lane: in the float32 and
+    float64 lanes the per-layer product runs on BLAS, still bit-exact
+    because 0/1 values, integer weights and integral partial sums below the
+    lane's limit are all exactly representable; the int64 lane uses numpy's
+    integer matmul.  Template matrices have ``n_params + n_gates`` columns
+    and residual matrices one column per source row of the layer (not
+    ``n_nodes``), so the dense form stays cheap however large the host
+    circuit is.
     """
 
     name = "dense"

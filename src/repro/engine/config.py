@@ -29,8 +29,9 @@ class EngineConfig:
     ----------
     backend:
         ``"auto"`` (pick per circuit from its stats), or force ``"sparse"``
-        (scipy CSR), ``"dense"`` (numpy matrices — float64 BLAS while sums
-        stay exactly representable, int64 fallback) or ``"exact"``
+        (scipy CSR) or ``"dense"`` (numpy matrices), which both run in the
+        plan's numeric lane — float32, float64 or int64, the narrowest dtype
+        its certified worst-case sum fits exactly — or ``"exact"``
         (arbitrary-precision object dtype).
     cache_size:
         Maximum number of compiled circuits kept in the LRU compile cache;

@@ -57,11 +57,12 @@ __all__ = [
     "default_artifact_dir",
 ]
 
-#: Bump when the on-disk artifact layout, the class or layout of a pickled
-#: program (anything that would make an old pickle unsafe to trust), or the
-#: format of the bundled ``circuit.json`` changes; old artifacts become
-#: invisible, so an older reader never meets a bundle it cannot load.
-ARTIFACT_VERSION = 3
+#: Bump when the on-disk artifact layout, the class, layout or dtypes of a
+#: pickled program (anything that would make an old pickle unsafe to trust
+#: or slower than a fresh compile), or the format of the bundled
+#: ``circuit.json`` changes; old artifacts become invisible, so an older
+#: reader never meets a bundle it cannot load.
+ARTIFACT_VERSION = 4
 
 _META_FORMAT = "repro-compiled-artifact"
 _META_NAME = "meta.json"

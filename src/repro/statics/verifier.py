@@ -21,7 +21,8 @@ direction.  On top of the intervals the verifier checks:
 * **reachability** — gates that cannot influence any declared output;
 * **plans** — :func:`build_template_plan`, the one plan every backend
   compiles, must accept provenance the provenance pass verified, agree
-  with the verifier on ``max_magnitude`` / ``int64_safe``, and be
+  with the verifier on ``max_magnitude`` / ``int64_safe`` and on the
+  numeric lane the matrix backends will run it in, and be
   well-formed (strictly increasing depths within each residual run, node
   and source ids in range, every gate planned exactly once, segments
   tiling the gate range).
@@ -40,6 +41,8 @@ import numpy as np
 
 from repro.circuits.circuit import ThresholdCircuit
 from repro.circuits.simulator import (
+    _FLOAT32_EXACT_LIMIT,
+    _FLOAT64_EXACT_LIMIT,
     _INT64_SAFE_LIMIT,
     ResidualLayer,
     ResidualSegment,
@@ -68,7 +71,6 @@ __all__ = [
 #: The simulator's whole-circuit int64-safety bound (re-exported so the
 #: verifier and the runtime can never hold two different limits).
 INT64_SAFE_LIMIT: int = _INT64_SAFE_LIMIT
-_FLOAT64_EXACT_LIMIT: int = 1 << 53
 #: Above this certified worst case the interval arithmetic leaves int64
 #: for exact Python ints (same guard band as ``csr_max_magnitude``).
 _INT64_ANALYSIS_LIMIT: int = 1 << 61
@@ -533,6 +535,15 @@ def _plan_issues(plan: TemplatePlan) -> List[str]:
 # --------------------------------------------------------------------------
 
 
+def _certified_lane(info: Dict[str, Any]) -> str:
+    """The narrowest numeric lane the verifier's exactness verdicts allow."""
+    if info["float32_exact"]:
+        return "float32"
+    if info["float64_exact"]:
+        return "float64"
+    return "int64" if info["int64_safe"] else "exact"
+
+
 def verify_circuit(
     circuit: ThresholdCircuit,
     *,
@@ -565,6 +576,8 @@ def verify_circuit(
     report.info["max_magnitude"] = int(worst)
     report.info["int64_safe"] = bool(worst < INT64_SAFE_LIMIT)
     report.info["float64_exact"] = bool(worst < _FLOAT64_EXACT_LIMIT)
+    report.info["float32_exact"] = bool(worst < _FLOAT32_EXACT_LIMIT)
+    report.info["lane"] = _certified_lane(report.info)
 
     if provenance:
         blocks = [
@@ -623,10 +636,13 @@ def verify_circuit(
                 f"build_template_plan reports max_magnitude {plan.max_magnitude}, "
                 f"verifier derived {worst}"
             )
-        if plan.int64_safe != (worst < INT64_SAFE_LIMIT):
+        # The lane subsumes int64_safe (the plan is int64-safe exactly
+        # when its lane is not "exact").
+        if plan.lane != report.info["lane"]:
             report.issues.append(
-                "build_template_plan int64_safe verdict disagrees with the "
-                "verifier's magnitude bound"
+                f"build_template_plan picks the {plan.lane} lane, the "
+                f"verifier's magnitude bound {worst} certifies "
+                f"{report.info['lane']}"
             )
         if interval_summary is not None and (
             interval_summary.max_magnitude > plan.max_magnitude

@@ -1,9 +1,27 @@
 """Tests for repro.circuits.builder and repro.circuits.counting."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.counting import CountingBuilder
+from repro.core.matmul_circuit import assemble_matmul_circuit, build_matmul_circuit
+from repro.core.schedule import schedule_for
+from repro.fastmm.strassen import strassen_2x2
+
+
+@pytest.fixture
+def gc_disabled():
+    """Reference counting only: nothing the cyclic collector would free."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestCircuitBuilder:
@@ -87,3 +105,24 @@ class TestCountingBuilder:
     def test_negative_allocation_rejected(self):
         with pytest.raises(ValueError):
             CountingBuilder().allocate_inputs(-1)
+
+
+class TestFreedByReferenceCounting:
+    """A builder and its template stamper form no reference cycle, so a
+    built circuit (store, template blocks) dies with its last reference."""
+
+    def test_built_circuit_is_freed(self, gc_disabled):
+        built = build_matmul_circuit(4, bit_width=1)
+        assert built.circuit.template_blocks
+        circuit = weakref.ref(built.circuit)
+        del built
+        assert circuit() is None
+
+    def test_counting_builder_is_freed(self, gc_disabled):
+        algorithm = strassen_2x2()
+        builder = CountingBuilder(name="count-matmul")
+        assemble_matmul_circuit(builder, 4, 1, algorithm, schedule_for(algorithm, 4))
+        assert builder.size
+        ref = weakref.ref(builder)
+        del builder
+        assert ref() is None

@@ -1,5 +1,7 @@
 """Tests for the vectorized simulator, including agreement with the slow path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.circuit import ThresholdCircuit
 from repro.circuits.simulator import build_template_plan, simulate
+from repro.core.naive_circuits import build_naive_matmul_circuit
 
 
 def parity_circuit(n_bits: int) -> ThresholdCircuit:
@@ -127,3 +130,117 @@ class TestRandomCircuitsAgainstSlowPath:
         fast = simulate(circuit, inputs).node_values
         slow = circuit.evaluate_slow(list(inputs))
         assert (fast == slow).all()
+
+
+def _reference_accepted(circuit, min_cover):
+    """Block acceptance checked one block at a time (the plain statement of
+    the rules :func:`build_template_plan` applies)."""
+    blocks = [block for block in circuit.template_blocks if block.k]
+    covered = 0
+    for block in blocks:
+        template = block.template
+        if template is None or template.n_gates == 0:
+            return []
+        params = block.params
+        if params.ndim != 2 or params.shape[1] != template.n_params:
+            return []
+        if params.size and (params.min() < 0 or params.max() >= block.base):
+            return []
+        covered += block.k * template.n_gates
+    if not blocks or covered < min_cover * circuit.size:
+        return []
+    blocks.sort(key=lambda block: block.base)
+    cursor = 0
+    for block in blocks:
+        first = block.base - circuit.n_inputs
+        if first < cursor or first + block.k * block.n_gates > circuit.size:
+            return []
+        cursor = first + block.k * block.n_gates
+    return blocks
+
+
+class TestTemplateBlockAcceptance:
+    """Each reason to refuse provenance turns every gate residual."""
+
+    @pytest.fixture
+    def circuit(self):
+        return build_naive_matmul_circuit(3, bit_width=1, stages=2).circuit
+
+    @staticmethod
+    def _replace(circuit, index, **changes):
+        block = circuit.template_blocks[index]
+        circuit.template_blocks[index] = dataclasses.replace(block, **changes)
+        return circuit.template_blocks[index]
+
+    @staticmethod
+    def _covered(circuit, min_cover=0.0):
+        return build_template_plan(circuit, min_cover=min_cover).covered_gates
+
+    def test_untampered_blocks_accepted(self, circuit):
+        covered = sum(block.k * block.n_gates for block in circuit.template_blocks)
+        assert covered and self._covered(circuit) == covered
+
+    def test_ill_shaped_rows_refused(self, circuit):
+        params = circuit.template_blocks[0].params
+        self._replace(circuit, 0, params=params[:, :-1])
+        assert self._covered(circuit) == 0
+
+    @pytest.mark.parametrize("offset", [0, 5])
+    def test_parameter_at_or_past_block_refused(self, circuit, offset):
+        block = circuit.template_blocks[-1]
+        params = np.array(block.params)
+        params[-1, -1] = block.base + offset
+        self._replace(circuit, -1, params=params)
+        assert self._covered(circuit) == 0
+
+    def test_negative_parameter_refused(self, circuit):
+        params = np.array(circuit.template_blocks[0].params)
+        params[0, 0] = -1
+        self._replace(circuit, 0, params=params)
+        assert self._covered(circuit) == 0
+
+    def test_overlapping_blocks_refused(self, circuit):
+        circuit.template_blocks.append(circuit.template_blocks[0])
+        assert self._covered(circuit) == 0
+
+    def test_out_of_range_block_refused(self, circuit):
+        index = max(
+            range(len(circuit.template_blocks)),
+            key=lambda i: circuit.template_blocks[i].base,
+        )
+        self._replace(circuit, index, base=circuit.n_nodes)
+        assert self._covered(circuit) == 0
+
+    def test_low_cover_refused(self, circuit):
+        covered = self._covered(circuit)
+        assert self._covered(circuit, min_cover=covered / circuit.size) == covered
+        assert self._covered(circuit, min_cover=(covered + 1) / circuit.size) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_verdicts_match_block_by_block_rules(self, data):
+        circuit = build_naive_matmul_circuit(3, bit_width=1, stages=2).circuit
+        blocks = circuit.template_blocks
+        for _ in range(data.draw(st.integers(0, 2))):
+            index = data.draw(st.integers(0, len(blocks) - 1))
+            block = blocks[index]
+            kind = data.draw(st.sampled_from(["base", "param", "drop", "copy"]))
+            if kind == "base":
+                shift = data.draw(st.integers(-40, 40))
+                blocks[index] = dataclasses.replace(block, base=block.base + shift)
+            elif kind == "param":
+                params = np.array(block.params)
+                params[data.draw(st.integers(0, block.k - 1)), 0] += data.draw(
+                    st.integers(-60, 60)
+                )
+                blocks[index] = dataclasses.replace(block, params=params)
+            elif kind == "drop":
+                del blocks[index]
+            else:
+                blocks.append(block)
+            if not blocks:
+                break
+        min_cover = data.draw(st.sampled_from([0.0, 0.25, 0.5, 0.9]))
+        expected = _reference_accepted(circuit, min_cover)
+        covered = sum(block.k * block.n_gates for block in expected)
+        assert self._covered(circuit, min_cover) == covered

@@ -158,7 +158,7 @@ class TestConstructionEquivalence:
         assert kept.covered_gates and not stripped.covered_gates
         assert kept.int64_safe == stripped.int64_safe
         assert kept.max_magnitude == stripped.max_magnitude
-        assert kept.float64_exact == stripped.float64_exact
+        assert kept.lane == stripped.lane
         assert kept.n_nodes == stripped.n_nodes
 
     def test_spike_trace_matches_across_paths(self):
@@ -173,6 +173,90 @@ class TestConstructionEquivalence:
             trace_t.synaptic_events_per_layer == trace_c.synaptic_events_per_layer
         ).all()
         assert (trace_t.energy == trace_c.energy).all()
+
+
+def _lane_of(program) -> str:
+    return np.dtype(program.values_dtype).name
+
+
+def _magnitude_circuit(magnitude):
+    """A depth-2 circuit whose plan ``max_magnitude`` is exactly ``magnitude``.
+
+    The anchor gate's weights and threshold split the magnitude exactly;
+    on ``x0 = x1 = 1`` both wide gates sum to just below or at their
+    thresholds.
+    """
+    a, b = magnitude // 2 - 1, magnitude // 4 + 1
+    t = magnitude - a - b
+    builder = CircuitBuilder(name=f"magnitude-{magnitude}")
+    x = builder.allocate_inputs(3)
+    anchor = builder.add_gate([x[0], x[1]], [a, -b], t)
+    near = builder.add_gate([x[0], x[1], x[2]], [a, -b, 1], a - b + 1)
+    out = builder.add_gate([anchor, near, x[2]], [1, 1, -1], 1)
+    builder.set_outputs([anchor, near, out])
+    return builder.build()
+
+
+def _all_inputs(n_inputs):
+    """Every 0/1 input column, ``(n_inputs, 2**n_inputs)``."""
+    codes = np.arange(1 << n_inputs)
+    return ((codes[None, :] >> np.arange(n_inputs)[:, None]) & 1).astype(np.int64)
+
+
+class TestNumericLanes:
+    """Each matrix backend runs the narrowest lane the plan's certified
+    magnitude allows, and every lane reproduces ``evaluate_slow``."""
+
+    @pytest.mark.parametrize(
+        "magnitude, lane",
+        [
+            ((1 << 24) - 1, "float32"),
+            (1 << 24, "float64"),
+            ((1 << 53) - 1, "float64"),
+            (1 << 53, "int64"),
+        ],
+    )
+    def test_boundary_magnitudes_pick_lane(self, magnitude, lane):
+        circuit = _magnitude_circuit(magnitude)
+        plan = build_template_plan(circuit)
+        assert plan.max_magnitude == magnitude
+        assert plan.lane == lane
+        engine = _engine()
+        for backend in ("sparse", "dense"):
+            assert _lane_of(engine.compile(circuit, backend=backend)) == lane
+        assert_compile_equivalent(circuit, _all_inputs(circuit.n_inputs))
+
+    @pytest.mark.parametrize("bits, lane", [(24, "float64"), (53, "int64")])
+    def test_rounding_gate_stays_exact(self, bits, lane):
+        # 2**bits + 1 rounds to 2**bits one lane down, so a narrower lane
+        # would fire on (1, 0); the exact sum 2**bits is below threshold.
+        builder = CircuitBuilder(name=f"rounding-{bits}")
+        x = builder.allocate_inputs(2)
+        gate = builder.add_gate(x, [1 << bits, 1], (1 << bits) + 1)
+        builder.set_outputs([gate])
+        circuit = builder.build()
+        assert build_template_plan(circuit).lane == lane
+        inputs = np.array([[1], [0]])
+        assert circuit.evaluate_slow([1, 0])[gate] == 0
+        for backend in BACKENDS:
+            result = _engine().evaluate(circuit, inputs, backend=backend)
+            assert result.outputs.tolist() == [[0]], backend
+        assert_compile_equivalent(circuit, _all_inputs(2))
+
+    def test_float64_lane_construction(self):
+        # Every golden construction sits in the float32 lane; a 10-bit
+        # Strassen product keeps the float64 lane under the full harness.
+        circuit = build_matmul_circuit(2, bit_width=10).circuit
+        plan = build_template_plan(circuit)
+        assert plan.lane == "float64" and plan.max_magnitude >= 1 << 24
+        assert _lane_of(_engine().compile(circuit, backend="sparse")) == "float64"
+        # The exact backend runs no lane and is slow here; other cases pin it.
+        assert_compile_equivalent(
+            circuit,
+            _random_inputs(circuit, batch=2, seed=10),
+            require_templates=True,
+            backends=("sparse", "dense"),
+        )
 
 
 class TestPlanCorners:

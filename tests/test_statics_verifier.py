@@ -79,7 +79,9 @@ class TestGoldenConstructions:
         plan = build_template_plan(circuit)
         assert report.info["max_magnitude"] == plan.max_magnitude
         assert report.info["int64_safe"] == plan.int64_safe
-        assert report.info["float64_exact"] == plan.float64_exact
+        assert report.info["float64_exact"] == (plan.lane in ("float32", "float64"))
+        assert report.info["float32_exact"] == (plan.lane == "float32")
+        assert report.info["lane"] == plan.lane
         # The interval analysis is a refinement: never looser than worst case.
         assert report.info["interval_max_magnitude"] <= plan.max_magnitude
 
@@ -377,6 +379,31 @@ class TestPlanChecks:
         monkeypatch.setattr(verifier, "build_template_plan", residual_only)
         report = verify_circuit(circuit)
         assert any("refused the factorization" in i for i in report.issues)
+
+    @pytest.mark.parametrize(
+        "weight, lane", [(1 << 22, "float32"), (1 << 23, "float64"), (1 << 53, "int64")]
+    )
+    def test_lane_certified_by_magnitude(self, weight, lane):
+        circuit = ThresholdCircuit(2, name="lane")
+        circuit.set_outputs([circuit.add_gate_parts([0, 1], [weight, 1], weight + 1)])
+        report = verify_circuit(circuit)
+        assert report.ok, report.issues
+        assert report.info["lane"] == build_template_plan(circuit).lane == lane
+        assert report.info["float32_exact"] == (lane == "float32")
+
+    def test_lane_disagreement_reported(self, monkeypatch):
+        # A plan that would run narrower than the verifier's magnitude bound
+        # certifies is reported, even with max_magnitude itself in agreement.
+        import repro.circuits.simulator as simulator
+
+        circuit = ThresholdCircuit(2, name="wide")
+        circuit.set_outputs([circuit.add_gate_parts([0, 1], [1 << 24, 1], (1 << 24) + 1)])
+        assert verify_circuit(circuit).ok
+        monkeypatch.setattr(simulator, "numeric_lane", lambda magnitude: "float32")
+        report = verify_circuit(circuit)
+        assert report.info["lane"] == "float64"
+        assert any("float32 lane" in issue for issue in report.issues), report.issues
+        assert not any("max_magnitude" in issue for issue in report.issues)
 
 
 # --------------------------------------------------------------------------- #
