@@ -8,7 +8,10 @@ factorization: the circuit's validated template blocks (one local layer
 plan per template, tiled across the stamps at evaluation time) interleaved
 with *residual* runs, the gates emitted outside any stamp, grouped by depth.
 A circuit without usable provenance lowers to residual runs only.  Every
-engine backend compiles this one plan.
+segment carries a dependency level, so a backend evaluates level by level
+and runs all stamps of one template in one level together
+(:meth:`TemplatePlan.schedule`).  Every engine backend compiles this one
+plan.
 
 Exactness: weights and partial sums are integers.  The plan carries the
 exact worst-case magnitude over all gates of the weighted sum plus
@@ -23,6 +26,7 @@ auto-selection for free.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -108,6 +112,12 @@ class TemplatePlan:
     evaluation order for every copy.  ``covered_gates`` counts the gates
     inside template blocks (0 when every gate is residual).
 
+    ``levels`` holds one dependency level per segment: one more than the
+    highest level among the nodes the segment reads, inputs being level 0
+    (a residual run's reads of its own gates do not count).  Two segments
+    of one level never read each other, so any order within a level is
+    exact, and the stamps of one template in one level are independent.
+
     ``max_magnitude`` is the exact worst case, over all gates, of the
     magnitude of the weighted sum plus threshold.  It certifies the plan's
     :attr:`lane` for the *whole* circuit: every segment runs in one machine
@@ -122,6 +132,24 @@ class TemplatePlan:
     covered_gates: int
     size: int
     segments: List[object] = field(default_factory=list)
+    levels: List[int] = field(default_factory=list)
+
+    def schedule(self) -> List[List[object]]:
+        """The segments grouped for evaluation, level by level.
+
+        Within a level, the blocks of one template form one group (in node
+        order) and every residual run is a group of its own.  Evaluating
+        the groups in this order is exact by the level rule.
+        """
+        groups: Dict[tuple, List[object]] = {}
+        for index, (level, segment) in enumerate(zip(self.levels, self.segments)):
+            if isinstance(segment, ResidualSegment):
+                key: tuple = (level, "run", index)
+            else:
+                key = (level, "tpl", id(segment.template))
+            groups.setdefault(key, []).append(segment)
+        # A stable sort keeps node order within each level.
+        return [groups[key] for key in sorted(groups, key=lambda key: key[0])]
 
     @property
     def lane(self) -> str:
@@ -171,8 +199,10 @@ def _residual_segment(circuit, cols, depths, start, stop):
     return ResidualSegment(layers), magnitude
 
 
-def _accepted_blocks(circuit: ThresholdCircuit, min_cover: float) -> list:
-    """The circuit's non-empty template blocks in node order, or ``[]``.
+def _accepted_blocks(circuit: ThresholdCircuit, min_cover: float) -> tuple:
+    """The circuit's non-empty template blocks in node order, with the
+    lowest and highest node each block reads (``-1`` for none) and its
+    gate count — or four empty lists.
 
     Provenance is never trusted over the columnar store: the blocks are
     refused as a whole — and every gate becomes residual — when they cover
@@ -180,39 +210,50 @@ def _accepted_blocks(circuit: ThresholdCircuit, min_cover: float) -> list:
     ill-shaped or reads a node at or past its block, or when the blocks do
     not tile disjoint ranges of the gate index.
     """
+    refused: tuple = ([], [], [], [])
     blocks = [block for block in circuit.template_blocks if block.k]
     if not blocks:
-        return []
+        return refused
     members: Dict[int, List[int]] = {}
     for index, block in enumerate(blocks):
         members.setdefault(id(block.template), []).append(index)
     bases = np.array([block.base for block in blocks], dtype=np.int64)
     lengths = np.empty(len(blocks), dtype=np.int64)  # gates per block
+    lows = np.full(len(blocks), -1, dtype=np.int64)
+    highs = np.full(len(blocks), -1, dtype=np.int64)
     for indices in members.values():
         compiled = blocks[indices[0]].template  # a CompiledTemplate
         if compiled is None or compiled.n_gates == 0:
-            return []
+            return refused
         params = [blocks[index].params for index in indices]
         if any(p.ndim != 2 or p.shape[1] != compiled.n_params for p in params):
-            return []
+            return refused
         ks = np.array([len(p) for p in params], dtype=np.int64)
         lengths[indices] = ks * compiled.n_gates
         if compiled.n_params:
             # The template's stacked parameter rows in one pass, each row
             # against the base of the block it came from.
             rows = np.concatenate(params)
-            if rows.min() < 0 or (
-                rows.max(axis=1) >= np.repeat(bases[indices], ks)
-            ).any():
-                return []
+            row_lows = rows.min(axis=1)
+            row_highs = rows.max(axis=1)
+            if row_lows.min() < 0 or (row_highs >= np.repeat(bases[indices], ks)).any():
+                return refused
+            starts = np.cumsum(ks) - ks
+            lows[indices] = np.minimum.reduceat(row_lows, starts)
+            highs[indices] = np.maximum.reduceat(row_highs, starts)
     if lengths.sum() < min_cover * circuit.size:
-        return []
+        return refused
     order = np.argsort(bases, kind="stable")
     firsts = bases[order] - circuit.n_inputs  # gate index (node id - n_inputs)
     ends = firsts + lengths[order]
     if firsts[0] < 0 or (firsts[1:] < ends[:-1]).any() or ends[-1] > circuit.size:
-        return []  # overlapping or out-of-range provenance
-    return [blocks[index] for index in order.tolist()]
+        return refused  # overlapping or out-of-range provenance
+    return (
+        [blocks[index] for index in order.tolist()],
+        lows[order].tolist(),
+        highs[order].tolist(),
+        lengths[order].tolist(),
+    )
 
 
 def build_template_plan(
@@ -224,27 +265,53 @@ def build_template_plan(
     for when provenance is refused) become residual runs, so a circuit
     without provenance lowers to one residual segment holding every gate.
     """
-    blocks = _accepted_blocks(circuit, min_cover)
+    blocks, lows, highs, lengths = _accepted_blocks(circuit, min_cover)
     n_inputs = circuit.n_inputs
     size = circuit.size
     depths = circuit.gate_depths()
     cols = circuit.columnar()
     segments: List[object] = []
+    levels: List[int] = []
+    firsts: List[int] = []  # the first node id of every segment
     magnitudes = [0]
+    # The level of every node written so far; inputs, and a residual run's
+    # own gates while it is being read, stay 0.
+    node_levels = np.zeros(circuit.n_nodes, dtype=np.int32)
     cursor = 0  # gate index (node id - n_inputs)
 
+    def place(segment, level: int, stop: int) -> None:
+        firsts.append(n_inputs + cursor)
+        node_levels[n_inputs + cursor : n_inputs + stop] = level
+        segments.append(segment)
+        levels.append(level)
+
     def add_residual(stop: int) -> None:
+        nonlocal cursor
         if stop > cursor:
             segment, magnitude = _residual_segment(circuit, cols, depths, cursor, stop)
-            segments.append(segment)
+            reads = cols.sources[cols.offsets[cursor] : cols.offsets[stop]]
+            # Before the first segment every read is an input.
+            level = 1 + int(node_levels[reads].max()) if levels and reads.size else 1
+            place(segment, level, stop)
             magnitudes.append(magnitude)
+            cursor = stop
 
-    for block in blocks:
+    for block, low, high, length in zip(blocks, lows, highs, lengths):
         first = block.base - n_inputs
         add_residual(first)
-        segments.append(block)  # the validated TemplateBlock, as-is
+        if high < n_inputs:  # reads inputs only, or nothing
+            level = 1
+        else:
+            # When every read lies in the segment holding the highest one,
+            # the block sits one level above it; otherwise gather.
+            held = bisect_right(firsts, high) - 1
+            if low >= firsts[held]:
+                level = 1 + levels[held]
+            else:
+                level = 1 + int(node_levels[block.params].max())
+        place(block, level, first + length)  # the validated block, as-is
         magnitudes.append(block.template.max_magnitude)
-        cursor = first + block.k * block.n_gates
+        cursor = first + length
     add_residual(size)
     max_magnitude = max(magnitudes)
     return TemplatePlan(
@@ -252,9 +319,10 @@ def build_template_plan(
         n_nodes=circuit.n_nodes,
         outputs=list(circuit.outputs),
         max_magnitude=max_magnitude,
-        covered_gates=sum(block.k * block.n_gates for block in blocks),
+        covered_gates=sum(lengths),
         size=size,
         segments=segments,
+        levels=levels,
     )
 
 

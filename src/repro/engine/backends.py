@@ -4,10 +4,11 @@ Every backend compiles the one plan form,
 :class:`~repro.circuits.simulator.TemplatePlan` (template blocks plus
 residual runs), into a *compiled program*: a picklable object holding only
 arrays and ints (so the batch scheduler can ship it to worker processes)
-that maps a 0/1 input block to the 0/1 values of every node.  A template
-block evaluates all of its stamped copies with one matrix product per
-template layer; a residual run evaluates with one matrix product per depth
-layer.  Three backends cover the practical space:
+that maps a 0/1 input block to the 0/1 values of every node.  The program
+runs the plan's schedule level by level: all stamps of one template in one
+level evaluate together, with one matrix product per template layer (per
+stamp chunk, when the batch is wide); a residual run evaluates with one
+matrix product per depth layer.  Three backends cover the practical space:
 
 ``sparse``
     scipy CSR matrices: template layers over the template's local slots,
@@ -19,7 +20,8 @@ layer.  Three backends cover the practical space:
     layers over the layer's source rows (a view of their id range, or the
     distinct rows gathered, then GEMM).  For small or shallow circuits the
     per-call overhead of CSR (index juggling, format dispatch) dominates
-    the flops; a dense GEMM over a few hundred rows is much faster.
+    the flops; a dense GEMM over a few hundred rows is much faster.  A
+    layer matrix over ``_DENSE_MATRIX_BYTES`` is refused at compile.
 ``exact``
     Arbitrary-precision object-dtype evaluation, vectorized over the batch
     (and over every stamp of a template) but looping over gates.  The only
@@ -48,8 +50,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.circuits.circuit import CircuitStats
-from repro.circuits.simulator import ResidualLayer, TemplatePlan
-from repro.circuits.template import TemplateBlock
+from repro.circuits.simulator import ResidualLayer, ResidualSegment, TemplatePlan
 from repro.engine.config import EngineConfig
 from repro.obs import get_registry
 
@@ -108,32 +109,50 @@ def _lane_dtype(plan: TemplatePlan, backend: str) -> np.dtype:
     return np.dtype(plan.lane)
 
 
-def _stamp_locals(values: np.ndarray, payload: tuple, dtype) -> np.ndarray:
-    """The local value matrix of one template block, parameter rows filled.
+#: The most bytes one stamp chunk's local value matrix may take.  A group
+#: of stamps runs in chunks of as many stamps as fit, so a wide batch
+#: never materializes every stamp's locals at once.
+_STAMP_CHUNK_BYTES = 1 << 20
 
-    Shape ``(n_params + n_gates, k * batch)``: column ``i * batch + b`` is
-    copy ``i``'s batch column ``b``.
+
+def _rows(values: np.ndarray) -> np.ndarray:
+    """A C-contiguous 2-D array with each row as one element (a void view),
+    so a gather or scatter of whole rows copies one element per row.
+    Object arrays (the exact backend) stay 2-D."""
+    if values.dtype == object:
+        return values
+    row = np.dtype((np.void, values.shape[1] * values.itemsize))
+    return values.view(row).reshape(-1)
+
+
+def _stamp_chunks(node_values: np.ndarray, group: tuple, dtype):
+    """Yield the local value matrix of each stamp chunk of a template group.
+
+    A chunk's matrix has shape ``(n_params + n_gates, count * batch)``:
+    column ``i * batch + b`` is its stamp ``i``'s batch column ``b``, and
+    the parameter rows arrive filled.  Once the caller has evaluated the
+    gate rows, resuming the generator writes them back to their node rows.
     """
-    _base, k, params, n_params, n_gates, _layers = payload
-    batch = values.shape[1]
-    local = np.zeros((n_params + n_gates, k * batch), dtype=dtype)
-    if n_params:
-        # params.T is (n_params, k); the gather yields (n_params, k, batch),
-        # flattened stamp-major.
-        local[:n_params] = values[params.T].reshape(n_params, k * batch)
-    return local
-
-
-def _scatter_block(values: np.ndarray, local: np.ndarray, payload: tuple) -> None:
-    """Write a block's gate rows back (copy i's gate j is node base + i*n_gates + j)."""
-    base, k, _params, n_params, n_gates, _layers = payload
-    batch = values.shape[1]
-    values[base : base + k * n_gates] = (
-        local[n_params:]
-        .reshape(n_gates, k, batch)
-        .transpose(1, 0, 2)
-        .reshape(k * n_gates, batch)
-    )
+    params, shifts, ends, n_params, n_gates, _layers = group
+    batch = node_values.shape[1]
+    if not batch:
+        return
+    node_rows = _rows(node_values)
+    width = (n_params + n_gates) * batch * np.dtype(dtype).itemsize
+    step = max(1, _STAMP_CHUNK_BYTES // width)
+    for lo in range(0, len(params), step):
+        hi = min(lo + step, len(params))
+        count = hi - lo
+        local = np.zeros((n_params + n_gates, count * batch), dtype=dtype)
+        # Row ``j * count + i`` of this view is local slot j of stamp i.
+        local_rows = _rows(local.reshape(-1, batch))
+        if n_params:
+            local_rows[: n_params * count] = node_rows[params[lo:hi].T.reshape(-1)]
+        yield local
+        stamps = np.arange(lo, hi, dtype=np.int64)
+        blocks = np.searchsorted(ends, stamps, side="right")
+        targets = np.arange(n_gates)[:, None] + (shifts[blocks] + stamps * n_gates)
+        node_rows[targets.reshape(-1)] = local_rows[n_params * count :]
 
 
 #: Source rows a dense residual product gathers at a time, so no layer
@@ -157,11 +176,12 @@ def _layer_sums(values: np.ndarray, terms: list) -> np.ndarray:
 class _SegmentProgram:
     """Run loop shared by the sparse and dense backends.
 
-    Segments are evaluated in node-id order (a topological order).  A
-    ``"tpl"`` segment keeps one local value matrix for its block: parameter
-    rows are gathered from the node values, the template's layer matrices
-    run on all ``k`` stamps at once, and the gate rows scatter back into the
-    block's node-id range.  A ``"res"`` segment runs one product per depth
+    Segments come in the plan's schedule order (level by level).  A
+    ``"tpl"`` segment is one template's stamps in one level: the stamps
+    run in chunks, each chunk one local value matrix whose parameter rows
+    are gathered from the node values; the template's layer matrices run on
+    every stamp of the chunk at once, and the gate rows scatter back to the
+    stamps' node ids.  A ``"res"`` segment runs one product per depth
     layer: a CSR matrix over every node column (sparse), or a dense matrix
     over the layer's source rows (dense) — a view of their id range when
     they fill at least half of it, else the distinct rows gathered at most
@@ -201,19 +221,20 @@ class _SegmentProgram:
             if registry.debug
             else None
         )
-        for kind, payload in self.segments:
-            if kind == "tpl":
-                values = _stamp_locals(node_values, payload, self.values_dtype)
-                layers = payload[5]
-            else:
-                values, layers = node_values, payload
+
+        def run_layers(values: np.ndarray, layers: list) -> None:
             for rows, terms, thresholds in layers:
                 start = time.perf_counter() if gemm is not None else 0.0
                 values[rows] = _layer_sums(values, terms) >= thresholds[:, None]
                 if gemm is not None:
                     gemm.observe(time.perf_counter() - start)
+
+        for kind, payload in self.segments:
             if kind == "tpl":
-                _scatter_block(node_values, values, payload)
+                for local in _stamp_chunks(node_values, payload, self.values_dtype):
+                    run_layers(local, payload[5])
+            else:
+                run_layers(node_values, payload)
         return node_values.astype(np.int8)
 
 
@@ -223,15 +244,33 @@ def _lane_array(values, dtype) -> np.ndarray:
     return np.asarray(values, dtype=np.int64).astype(dtype, copy=False)
 
 
+#: The most bytes one dense layer matrix may take.  A stripped circuit's
+#: widest residual layer can need gigabytes as a dense matrix; the dense
+#: compile refuses it instead of allocating.
+_DENSE_MATRIX_BYTES = 1 << 30
+
+
 def _weight_matrix(n_rows, n_cols, rows, cols, data, dense: bool, dtype):
     """An exact ``(n_rows, n_cols)`` weight matrix from COO triples.
 
     (row, col) pairs are unique: every emission path merges duplicate
-    sources during canonicalization.
+    sources during canonicalization.  ``rows`` ascend (each gate's wires
+    are one run), so they give the CSR offsets directly.  A dense matrix
+    over ``_DENSE_MATRIX_BYTES`` raises :class:`BackendError` before
+    allocating.
     """
+    if dense:
+        nbytes = n_rows * n_cols * np.dtype(dtype).itemsize
+        if nbytes > _DENSE_MATRIX_BYTES:
+            raise BackendError(
+                f"a {n_rows} x {n_cols} dense layer matrix takes {nbytes:,} "
+                f"bytes, over the dense backend's budget of "
+                f"{_DENSE_MATRIX_BYTES:,} (use backend='sparse' or 'auto')"
+            )
     data = _lane_array(data, dtype)
     if not dense:
-        return sparse.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
+        offsets = np.searchsorted(rows, np.arange(n_rows + 1))
+        return sparse.csr_matrix((data, cols, offsets), shape=(n_rows, n_cols))
     matrix = np.zeros((n_rows, n_cols), dtype=dtype)
     if len(data):
         matrix[rows, cols] = data
@@ -297,35 +336,39 @@ def _residual_layer(
 
 
 def _lower_segments(plan: TemplatePlan, lower_template, lower_residual) -> list:
-    """The program segments of a plan, in node-id order.
+    """The program segments of a plan, in its schedule order.
 
-    A template block becomes ``("tpl", (base, k, params, n_params, n_gates,
-    lowered template))`` — ``lower_template`` runs once per distinct template
-    (the plan shares ``CompiledTemplate`` objects across that template's
-    blocks) — and a residual run ``("res", lower_residual(segment))``.
+    A residual run becomes ``("res", lower_residual(segment))``.  The blocks
+    of one template in one level become one ``("tpl", (params, shifts,
+    ends, n_params, n_gates, lowered template))`` group: ``params`` stacks
+    their parameter rows, one per stamp; block ``b`` ends before stamp
+    ``ends[b]``, and stamp ``s`` of it starts at node ``shifts[b] + s *
+    n_gates``.  ``lower_template`` runs once per distinct template.
     """
     shared: Dict[int, object] = {}
     segments: List[tuple] = []
-    for segment in plan.segments:
-        if isinstance(segment, TemplateBlock):
-            template = segment.template
-            if id(template) not in shared:
-                shared[id(template)] = lower_template(template)
-            segments.append(
-                (
-                    "tpl",
-                    (
-                        segment.base,
-                        segment.k,
-                        segment.params,
-                        template.n_params,
-                        template.n_gates,
-                        shared[id(template)],
-                    ),
-                )
-            )
-        else:
-            segments.append(("res", lower_residual(segment)))
+    for group in plan.schedule():
+        first = group[0]
+        if isinstance(first, ResidualSegment):
+            segments.append(("res", lower_residual(first)))
+            continue
+        template = first.template
+        if id(template) not in shared:
+            shared[id(template)] = lower_template(template)
+        n_gates = template.n_gates
+        params = (
+            first.params
+            if len(group) == 1
+            else np.concatenate([block.params for block in group])
+        )
+        ks = np.array([len(block.params) for block in group], dtype=np.int64)
+        ends = np.cumsum(ks)
+        bases = np.array([block.base for block in group], dtype=np.int64)
+        shifts = bases - (ends - ks) * n_gates
+        lowered = shared[id(template)]
+        segments.append(
+            ("tpl", (params, shifts, ends, template.n_params, n_gates, lowered))
+        )
     return segments
 
 
@@ -403,9 +446,10 @@ def _run_exact_gates(values: np.ndarray, gates: list) -> None:
 class _ExactSegmentProgram:
     """Arbitrary-precision program over the same segments (object dtype).
 
-    Loops over each template's *local* gates once, vectorized over all
-    stamps and the batch — the copy count k never re-enters the Python
-    loop, which is the exact-path analogue of the matrix tiling above.
+    Loops over each template's *local* gates once per stamp chunk,
+    vectorized over the chunk's stamps and the batch — the stamp count
+    never re-enters the Python loop, which is the exact-path analogue of
+    the matrix tiling above.
     """
 
     backend_name = "exact"
@@ -431,9 +475,8 @@ class _ExactSegmentProgram:
         values[: self.n_inputs, :] = inputs.astype(np.int64).astype(object)
         for kind, payload in self.segments:
             if kind == "tpl":
-                local = _stamp_locals(values, payload, object)
-                _run_exact_gates(local, payload[5])
-                _scatter_block(values, local, payload)
+                for local in _stamp_chunks(values, payload, object):
+                    _run_exact_gates(local, payload[5])
             else:
                 _run_exact_gates(values, payload)
         return values.astype(np.int8)
@@ -536,6 +579,9 @@ def select_backend_name(
         return "exact"
     if plan.n_nodes <= config.dense_node_limit:
         return "dense"
-    if stats.size and stats.edges / (stats.size * plan.n_nodes) >= config.dense_density:
-        return "dense"
+    # No layer matrix exceeds size x n_nodes entries, so under this bound
+    # the dense compile never refuses.
+    if stats.size and stats.size * plan.n_nodes * 8 <= _DENSE_MATRIX_BYTES:
+        if stats.edges / (stats.size * plan.n_nodes) >= config.dense_density:
+            return "dense"
     return "sparse"

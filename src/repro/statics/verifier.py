@@ -25,7 +25,8 @@ direction.  On top of the intervals the verifier checks:
   numeric lane the matrix backends will run it in, and be
   well-formed (strictly increasing depths within each residual run, node
   and source ids in range, every gate planned exactly once, segments
-  tiling the gate range).
+  tiling the gate range, and every segment reading only inputs, its own
+  gates or nodes of a strictly lower dependency level).
 
 Everything is exact: interval arithmetic runs on int64 when the worst case
 is certified to fit and on Python ints otherwise, so a huge-weight circuit
@@ -35,7 +36,7 @@ can never silently wrap the analysis that is supposed to catch wrapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from repro.circuits.simulator import (
     ResidualLayer,
     ResidualSegment,
     TemplatePlan,
+    _accepted_blocks,
     build_template_plan,
 )
 from repro.circuits.store import (
@@ -345,6 +347,125 @@ def unreachable_gates(circuit: ThresholdCircuit) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+#: Wires one stacked provenance comparison covers at most, so a template
+#: with many stamps is checked in bounded memory.
+_PROVENANCE_WIRES = 1 << 20
+
+
+def _placement_issue(
+    block: Any, cursor: int, n_inputs: int, size: int
+) -> Tuple[Optional[str], int]:
+    """One block's template, parameter-row and tiling checks.
+
+    Returns the issue (or None) and the tiling cursor after the block; a
+    block that fails leaves the cursor where it was.
+    """
+    label = f"template block at node {int(block.base)}"
+    template = block.template
+    if template is None or template.n_gates == 0:
+        return f"{label}: no compiled template attached", cursor
+    params = np.asarray(block.params)
+    if params.ndim != 2 or params.shape[1] != template.n_params:
+        return (
+            f"{label}: parameter rows have shape {params.shape}, "
+            f"expected (k, {template.n_params})"
+        ), cursor
+    if params.size and (int(params.min()) < 0 or int(params.max()) >= block.base):
+        return (
+            f"{label}: parameter node ids must lie in [0, {int(block.base)})"
+        ), cursor
+    first = int(block.base) - n_inputs
+    length = block.k * template.n_gates
+    if first < cursor:
+        return f"{label}: overlaps the preceding block", cursor
+    if first < 0 or first + length > size:
+        return f"{label}: extends outside the gate range", cursor
+    return None, first + length
+
+
+def _content_issue(block: Any, cols: Columns, n_inputs: int) -> Optional[str]:
+    """A placed block's gates against its template, wire for wire."""
+    label = f"template block at node {int(block.base)}"
+    template = block.template
+    params = np.asarray(block.params)
+    first = int(block.base) - n_inputs
+    length = block.k * template.n_gates
+    fan = np.diff(template.offsets)
+    actual_fan = np.diff(cols.offsets[first : first + length + 1])
+    if not np.array_equal(actual_fan, np.tile(fan, block.k)):
+        return f"{label}: stamped fan-ins do not match the template"
+    if not np.array_equal(
+        cols.thresholds[first : first + length],
+        np.tile(template.thresholds, block.k),
+    ):
+        return f"{label}: stamped thresholds do not match the template"
+    lo = int(cols.offsets[first])
+    hi = int(cols.offsets[first + length])
+    if not np.array_equal(cols.weights[lo:hi], np.tile(template.weights, block.k)):
+        return f"{label}: stamped weights do not match the template"
+    # Source re-derivation: exactly the stamper's translation — local
+    # parameter slots read the copy's parameter row, local gate ids shift
+    # by base + copy * n_gates.
+    shift = np.arange(block.k, dtype=np.int64)[:, None] * template.n_gates
+    internal = (
+        (int(block.base) - template.n_params) + template.sources[None, :] + shift
+    )
+    if template.n_params:
+        is_param = template.sources < template.n_params
+        slots = np.where(is_param, template.sources, 0)
+        expected = np.where(is_param[None, :], params[:, slots], internal)
+    else:
+        expected = internal
+    actual = cols.sources[lo:hi]
+    if not np.array_equal(actual, expected.reshape(-1)):
+        mismatch = np.nonzero(actual != expected.reshape(-1))[0]
+        return (
+            f"{label}: stamped sources diverge from the template "
+            f"re-derivation (first at wire {int(mismatch[0])} of the "
+            f"block, {mismatch.size} wire(s) total)"
+        )
+    return None
+
+
+def _template_content_ok(
+    template: Any, blocks: List[Any], cols: Columns, n_inputs: int
+) -> bool:
+    """True when every placed block of one template passes
+    :func:`_content_issue`, checked over its stacked stamps (at most
+    ``_PROVENANCE_WIRES`` wires at a time), one row per stamp."""
+    n_gates = template.n_gates
+    n_wires = len(template.sources)
+    ks = np.array([block.k for block in blocks], dtype=np.int64)
+    bases = np.array([int(block.base) for block in blocks], dtype=np.int64)
+    # The first node id of every stamp, stamp-major across the blocks.
+    stamp_nodes = np.repeat(bases - (np.cumsum(ks) - ks) * n_gates, ks) + (
+        np.arange(int(ks.sum()), dtype=np.int64) * n_gates
+    )
+    params = np.concatenate([np.asarray(block.params) for block in blocks])
+    fan = np.diff(template.offsets)
+    is_param = template.sources < template.n_params
+    slots = np.where(is_param, template.sources, 0)
+    step = max(1, _PROVENANCE_WIRES // max(n_wires, n_gates))
+    for lo in range(0, len(stamp_nodes), step):
+        nodes = stamp_nodes[lo : lo + step]
+        gates = (nodes - n_inputs)[:, None] + np.arange(n_gates, dtype=np.int64)
+        if not (cols.offsets[gates + 1] - cols.offsets[gates] == fan).all():
+            return False
+        if not (cols.thresholds[gates] == template.thresholds).all():
+            return False
+        # Fan-ins match, so each stamp's wires are one run from its first gate.
+        wires = cols.offsets[gates[:, 0]][:, None] + np.arange(n_wires, dtype=np.int64)
+        if not (cols.weights[wires] == template.weights).all():
+            return False
+        # The stamper's translation, as in _content_issue.
+        expected = (nodes - template.n_params)[:, None] + template.sources
+        if template.n_params:
+            expected = np.where(is_param, params[lo : lo + step][:, slots], expected)
+        if not (cols.sources[wires] == expected).all():
+            return False
+    return True
+
+
 def provenance_issues(circuit: ThresholdCircuit) -> List[str]:
     """Check recorded template provenance against the columnar store.
 
@@ -356,93 +477,46 @@ def provenance_issues(circuit: ThresholdCircuit) -> List[str]:
     in-range blocks whose parameters precede them).  An empty list means
     the provenance is faithful; gaps between blocks are legitimate
     (residual gates emitted outside any stamp).
+
+    The checks run one template at a time over its stacked blocks; only a
+    template that fails is rechecked block by block, so each issue names
+    the first offending block of its kind, in base order.
     """
-    issues: List[str] = []
     blocks = [
         block
         for block in getattr(circuit, "template_blocks", [])
         if getattr(block, "k", 0)
     ]
     if not blocks:
-        return issues
+        return []
     cols = circuit.columnar()
     n_inputs = circuit.n_inputs
-    size = cols.n_gates
-    cursor = 0
-    for block in sorted(blocks, key=lambda b: b.base):
-        label = f"template block at node {int(block.base)}"
-        template = block.template
-        if template is None or template.n_gates == 0:
-            issues.append(f"{label}: no compiled template attached")
+    # The plan builder accepts the blocks exactly when every one passes
+    # the placement checks; otherwise the whole pass runs block by block.
+    ordered = _accepted_blocks(circuit, 0.0)[0]
+    if not ordered:
+        issues: List[str] = []
+        cursor = 0
+        for block in sorted(blocks, key=lambda b: b.base):
+            issue, cursor = _placement_issue(block, cursor, n_inputs, cols.n_gates)
+            if issue is None:
+                issue = _content_issue(block, cols, n_inputs)
+            if issue is not None:
+                issues.append(issue)
+        return issues
+    members: Dict[int, List[int]] = {}
+    for position, block in enumerate(ordered):
+        members.setdefault(id(block.template), []).append(position)
+    found: Dict[int, str] = {}
+    for positions in members.values():
+        group = [ordered[p] for p in positions]
+        if _template_content_ok(group[0].template, group, cols, n_inputs):
             continue
-        params = np.asarray(block.params)
-        if params.ndim != 2 or params.shape[1] != template.n_params:
-            issues.append(
-                f"{label}: parameter rows have shape {params.shape}, "
-                f"expected (k, {template.n_params})"
-            )
-            continue
-        if params.size and (
-            int(params.min()) < 0 or int(params.max()) >= block.base
-        ):
-            issues.append(
-                f"{label}: parameter node ids must lie in [0, {int(block.base)})"
-            )
-            continue
-        first = int(block.base) - n_inputs
-        length = block.k * template.n_gates
-        if first < cursor:
-            issues.append(f"{label}: overlaps the preceding block")
-            continue
-        if first < 0 or first + length > size:
-            issues.append(f"{label}: extends outside the gate range")
-            continue
-        cursor = first + length
-
-        fan = np.diff(template.offsets)
-        actual_fan = np.diff(cols.offsets[first : first + length + 1])
-        if not np.array_equal(actual_fan, np.tile(fan, block.k)):
-            issues.append(f"{label}: stamped fan-ins do not match the template")
-            continue
-        if not np.array_equal(
-            cols.thresholds[first : first + length],
-            np.tile(template.thresholds, block.k),
-        ):
-            issues.append(
-                f"{label}: stamped thresholds do not match the template"
-            )
-            continue
-        lo = int(cols.offsets[first])
-        hi = int(cols.offsets[first + length])
-        if not np.array_equal(
-            cols.weights[lo:hi], np.tile(template.weights, block.k)
-        ):
-            issues.append(f"{label}: stamped weights do not match the template")
-            continue
-        # Source re-derivation: exactly the stamper's translation — local
-        # parameter slots read the copy's parameter row, local gate ids
-        # shift by base + copy * n_gates.
-        shift = np.arange(block.k, dtype=np.int64)[:, None] * template.n_gates
-        internal = (
-            (int(block.base) - template.n_params)
-            + template.sources[None, :]
-            + shift
-        )
-        if template.n_params:
-            is_param = template.sources < template.n_params
-            slots = np.where(is_param, template.sources, 0)
-            expected = np.where(is_param[None, :], params[:, slots], internal)
-        else:
-            expected = internal
-        actual = cols.sources[lo:hi]
-        if not np.array_equal(actual, expected.reshape(-1)):
-            mismatch = np.nonzero(actual != expected.reshape(-1))[0]
-            issues.append(
-                f"{label}: stamped sources diverge from the template "
-                f"re-derivation (first at wire {int(mismatch[0])} of the "
-                f"block, {mismatch.size} wire(s) total)"
-            )
-    return issues
+        for position, block in zip(positions, group):
+            issue = _content_issue(block, cols, n_inputs)
+            if issue is not None:
+                found[position] = issue
+    return [found[position] for position in sorted(found)]
 
 
 def _covered_gates(circuit: ThresholdCircuit) -> int:
@@ -527,6 +601,55 @@ def _plan_issues(plan: TemplatePlan) -> List[str]:
         cursor += len(nodes)
     if cursor != plan.size:
         issues.append(f"plan segments cover {cursor} gates, circuit has {plan.size}")
+    issues.extend(_level_issues(plan))
+    return issues
+
+
+def _segment_nodes(segment: Any) -> np.ndarray:
+    """The node ids a plan segment writes."""
+    if isinstance(segment, ResidualSegment):
+        chunks = [np.asarray(layer.nodes, dtype=np.int64) for layer in segment.layers]
+        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    base = int(segment.base)
+    return np.arange(base, base + segment.k * segment.template.n_gates, dtype=np.int64)
+
+
+def _segment_reads(segment: Any) -> np.ndarray:
+    """The node ids a plan segment reads (a residual run's own gates too)."""
+    if isinstance(segment, ResidualSegment):
+        chunks = [np.asarray(layer.cols, dtype=np.int64) for layer in segment.layers]
+        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    return np.asarray(segment.params, dtype=np.int64).reshape(-1)
+
+
+def _level_issues(plan: TemplatePlan) -> List[str]:
+    """The schedule's levels make level-by-level evaluation exact: every
+    node a segment reads is an input, one of its own gates (a residual
+    run), or written by a segment of a strictly lower level."""
+    levels = list(plan.levels)
+    if len(levels) != len(plan.segments):
+        return [
+            f"plan: {len(levels)} levels for {len(plan.segments)} segments"
+        ]
+    n_nodes = plan.n_nodes
+    owner = np.full(n_nodes, -1, dtype=np.int64)  # inputs have no owner
+    node_level = np.zeros(n_nodes, dtype=np.int64)
+    for index, (level, segment) in enumerate(zip(levels, plan.segments)):
+        nodes = _segment_nodes(segment)
+        nodes = nodes[(nodes >= plan.n_inputs) & (nodes < n_nodes)]
+        owner[nodes] = index
+        node_level[nodes] = level
+    issues: List[str] = []
+    for index, (level, segment) in enumerate(zip(levels, plan.segments)):
+        reads = _segment_reads(segment)
+        reads = reads[(reads >= plan.n_inputs) & (reads < n_nodes)]
+        late = reads[(owner[reads] != index) & (node_level[reads] >= level)]
+        if late.size:
+            node = int(late[0])
+            issues.append(
+                f"plan: segment {index} at level {level} reads node {node}, "
+                f"written at level {int(node_level[node])}"
+            )
     return issues
 
 
@@ -656,6 +779,8 @@ def verify_circuit(
                 "provenance verified but build_template_plan refused the "
                 "factorization"
             )
+        report.info["plan_levels"] = max(plan.levels, default=0)
+        report.info["plan_groups"] = len(plan.schedule())
         report.issues.extend(_plan_issues(plan))
 
     return report

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.circuit import ThresholdCircuit
 from repro.circuits.serialize import circuit_from_dict, circuit_to_dict
-from repro.circuits.simulator import build_template_plan
+from repro.circuits.simulator import ResidualSegment, build_template_plan
 from repro.core.direct_circuit import build_direct_matmul_circuit
 from repro.core.matmul_circuit import build_matmul_circuit
 from repro.core.naive_circuits import (
@@ -468,6 +468,75 @@ def _soup_circuit(data):
     return circuit
 
 
+#: Small relocatable gadgets for :func:`_stamp_soup`: ``(n_params, emit)``.
+_GADGETS = {
+    "nand": (
+        2,
+        lambda r: r.add_gate(
+            [r.add_gate([0, 1], [1, 1], 2, tag="and")], [-1], 0, tag="nand"
+        ),
+    ),
+    "majority": (3, lambda r: r.add_gate([0, 1, 2], [1, 1, 1], 2, tag="maj")),
+    "chain": (
+        1,
+        lambda r: r.add_gate(
+            [0, r.add_gate([0], [-1], 0, tag="not")], [2, -1], 1, tag="keep"
+        ),
+    ),
+    "one": (0, lambda r: r.add_gate([], [], 0, tag="one")),
+}
+
+
+def _stamp_soup(data):
+    """Random stamps of a few small gadgets, interleaved with hand-emitted
+    gates, each reading any earlier nodes: template blocks of one template
+    land at many dependency levels, in any node order."""
+    n_inputs = data.draw(st.integers(min_value=3, max_value=5), label="n_inputs")
+    builder = CircuitBuilder(name="stamp-soup")
+    builder.allocate_inputs(n_inputs, "x")
+    outputs = []
+
+    def legacy(i):
+        raise AssertionError("distinct parameters must stamp")
+
+    for i in range(data.draw(st.integers(min_value=2, max_value=7), label="n_ops")):
+        kind = data.draw(st.sampled_from(sorted(_GADGETS) + ["raw"]), label=f"op{i}")
+        if kind == "raw":
+            fan = data.draw(st.integers(min_value=0, max_value=3), label=f"op{i}/fan")
+            sources = data.draw(
+                st.lists(
+                    st.integers(0, builder.n_nodes - 1), min_size=fan, max_size=fan
+                ),
+                label=f"op{i}/sources",
+            )
+            weights = data.draw(
+                st.lists(st.integers(-2, 2), min_size=fan, max_size=fan),
+                label=f"op{i}/weights",
+            )
+            threshold = data.draw(st.integers(-1, 2), label=f"op{i}/thr")
+            outputs.append(builder.add_gate(sources, weights, threshold, tag="raw"))
+            continue
+        n_params, emit = _GADGETS[kind]
+        rows = data.draw(
+            st.lists(
+                st.lists(
+                    st.integers(0, builder.n_nodes - 1),
+                    min_size=n_params,
+                    max_size=n_params,
+                    unique=True,
+                ),
+                min_size=2,
+                max_size=4,
+            ),
+            label=f"op{i}/rows",
+        )
+        results = builder.stamper.stamp_all(kind, n_params, rows, emit, legacy)
+        outputs.extend(int(node) for node in results)
+    circuit = builder.build()
+    circuit.set_outputs(sorted(set(outputs)))
+    return circuit
+
+
 class TestRandomGadgetSoup:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -477,3 +546,172 @@ class TestRandomGadgetSoup:
             return
         inputs = _random_inputs(circuit, batch=3, seed=11)
         assert_compile_equivalent(circuit, inputs)
+
+
+# --------------------------------------------------------------------------- #
+# The level schedule: all stamps of one template in one dependency level run
+# together, in stamp chunks, whatever the node order.
+# --------------------------------------------------------------------------- #
+
+
+def _level_circuit():
+    """One template stamped at levels 1 and 3 with a residual run at level 2
+    between them, then more level-1 stamps placed after the level-3 block:
+    node order and level order disagree."""
+    builder = CircuitBuilder(name="levels")
+    x = builder.allocate_inputs(4)
+    n_params, emit = _GADGETS["nand"]
+
+    def stamp(rows):
+        def legacy(i):
+            raise AssertionError("distinct parameters must stamp")
+
+        results = builder.stamper.stamp_all("nand", n_params, rows, emit, legacy)
+        return [int(node) for node in results]
+
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    first = stamp([[x[a], x[b]] for a, b in pairs])  # level 1
+    r0 = builder.add_gate(first[:2], [1, 1], 1, tag="or")  # level 2
+    r1 = builder.add_gate([first[2], x[0]], [1, 1], 2, tag="and")
+    second = stamp([[r0, r1], [r1, x[1]]])  # level 3
+    third = stamp([[x[1], x[2]], [x[3], x[0]]])  # level 1
+    builder.set_outputs(first + [r0, r1] + second + third)
+    return builder.build()
+
+
+def _all_inputs(n_inputs):
+    columns = np.arange(1 << n_inputs)[None, :]
+    return ((columns >> np.arange(n_inputs)[:, None]) & 1).astype(np.int64)
+
+
+def _reference_levels(plan):
+    """The level rule applied segment by segment with a full gather."""
+    node_level = np.zeros(plan.n_nodes, dtype=np.int64)
+    levels = []
+    for segment in plan.segments:
+        if isinstance(segment, ResidualSegment):
+            nodes = np.concatenate([layer.nodes for layer in segment.layers])
+            reads = np.concatenate([layer.cols for layer in segment.layers])
+            reads = reads[~np.isin(reads, nodes)]
+        else:
+            nodes = np.arange(segment.base, segment.base + segment.k * segment.n_gates)
+            reads = segment.params.reshape(-1)
+        level = 1 + (int(node_level[reads].max()) if reads.size else 0)
+        node_level[nodes] = level
+        levels.append(level)
+    return levels
+
+
+class TestLevelSchedule:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_levels_match_the_rule(self, data):
+        plan = build_template_plan(_stamp_soup(data))
+        assert plan.levels == _reference_levels(plan)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_matmul_circuit(4, bit_width=1).circuit,
+            lambda: build_trace_circuit(4, tau=10, bit_width=1).circuit,
+            lambda: build_naive_matmul_circuit(4, bit_width=1, stages=2).circuit,
+        ],
+        ids=["strassen-n4", "trace-n4", "naive-n4"],
+    )
+    def test_construction_levels_match_the_rule(self, build):
+        plan = build_template_plan(build())
+        assert plan.covered_gates
+        assert plan.levels == _reference_levels(plan)
+
+    def test_node_order_differs_from_level_order(self):
+        circuit = _level_circuit()
+        plan = build_template_plan(circuit)
+        assert [type(s).__name__ for s in plan.segments] == [
+            "TemplateBlock",
+            "ResidualSegment",
+            "TemplateBlock",
+            "TemplateBlock",
+        ]
+        assert plan.levels == [1, 2, 3, 1]
+        # Level 1 holds both outer blocks, so they form one group.
+        groups = plan.schedule()
+        assert [len(group) for group in groups] == [2, 1, 1]
+        assert groups[0] == [plan.segments[0], plan.segments[3]]
+        assert_compile_equivalent(
+            circuit, _all_inputs(circuit.n_inputs), require_templates=True
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("step", ["one", "group-1", "group", "group+1"])
+    def test_stamp_chunk_boundaries(self, monkeypatch, backend, step):
+        # The level-1 group has 8 stamps over two node runs (6 + 2).  Batch
+        # widths under a budget of 504 columns of locals put the chunk size
+        # at 1 stamp, one short of the group (a chunk straddles the runs,
+        # then a one-stamp chunk), the whole group, and one past it.
+        import repro.engine.backends as backends
+
+        circuit = _level_circuit()
+        group = build_template_plan(circuit).schedule()[0]
+        stamps = sum(block.k for block in group)
+        assert stamps == 8
+        n_locals = group[0].template.n_locals
+        itemsize = np.dtype(object if backend == "exact" else np.float32).itemsize
+        columns = (stamps - 1) * stamps * (stamps + 1)  # 504
+        size = {"one": 1, "group-1": stamps - 1, "group": stamps, "group+1": stamps + 1}
+        batch = columns // size[step]
+        budget = n_locals * itemsize * columns
+        monkeypatch.setattr(backends, "_STAMP_CHUNK_BYTES", budget)
+        inputs = _random_inputs(circuit, batch=batch, seed=batch)
+        reference = _reference(circuit, inputs)
+        for variant in (circuit, _stripped(circuit)):
+            result = _engine().evaluate(variant, inputs, backend=backend)
+            assert (result.node_values == reference).all(), (backend, step)
+
+    def test_one_product_per_template_layer_per_group(self, monkeypatch):
+        # A kept naive n=8 run issues one product per template layer of each
+        # (level, template) group plus one per residual layer — not one per
+        # block per layer.
+        import repro.engine.backends as backends
+
+        circuit = build_naive_matmul_circuit(8, bit_width=1, stages=2).circuit
+        plan = build_template_plan(circuit)
+
+        def products(segment):
+            if isinstance(segment, ResidualSegment):
+                return len(segment.layers)
+            return len(segment.template.layers)
+
+        expected = sum(products(group[0]) for group in plan.schedule())
+        per_block = sum(products(segment) for segment in plan.segments)
+        assert expected < per_block
+        calls = []
+        real = backends._layer_sums
+
+        def counted(values, terms):
+            calls.append(len(terms))
+            return real(values, terms)
+
+        monkeypatch.setattr(backends, "_layer_sums", counted)
+        program = _engine().compile(circuit, backend="sparse")
+        inputs = _random_inputs(circuit, batch=8, seed=8)
+        result = program.run(inputs)
+        assert len(calls) == expected and set(calls) == {1}
+        reference = Engine().evaluate(_stripped(circuit), inputs, backend="sparse")
+        assert (result == reference.node_values).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_stamp_soup_bit_identical(self, data):
+        # Random stamp soups put one template at many levels in any node
+        # order; a small chunk budget splits groups across runs.
+        import repro.engine.backends as backends
+
+        circuit = _stamp_soup(data)
+        inputs = _random_inputs(circuit, batch=5, seed=3)
+        budget = data.draw(st.sampled_from([1, 64, 1 << 20]), label="chunk bytes")
+        saved = backends._STAMP_CHUNK_BYTES
+        backends._STAMP_CHUNK_BYTES = budget
+        try:
+            assert_compile_equivalent(circuit, inputs)
+        finally:
+            backends._STAMP_CHUNK_BYTES = saved

@@ -649,6 +649,53 @@ class TestRunMemory:
         assert peak <= 0.75 * int64_buffer, peak / int64_buffer
 
 
+class TestDenseBudget:
+    def test_oversized_dense_layer_refused_without_allocating(self):
+        # 200,000 gates, each reading its own input: one depth layer whose
+        # sources fill their id range, so the dense matrix would be
+        # 200,000 x 200,000 float32 (149 GiB).  The compile refuses it by
+        # size before allocating anything of that order.
+        import tracemalloc
+
+        from repro.circuits.circuit import ThresholdCircuit
+
+        n = 200_000
+        circuit = ThresholdCircuit(n, name="wide-layer")
+        circuit.add_gates(
+            np.arange(n, dtype=np.int64),
+            np.arange(n + 1, dtype=np.int64),
+            np.ones(n, dtype=np.int64),
+            np.ones(n, dtype=np.int64),
+        )
+        circuit.set_outputs([n, 2 * n - 1])
+        engine = Engine()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BackendError, match=r"160,000,000,000 bytes"):
+                engine.compile(circuit, backend="dense")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, peak
+        assert engine.compile(circuit).backend_name == "sparse"  # auto
+        inputs = np.random.default_rng(0).integers(0, 2, size=(n, 2)).astype(np.int8)
+        assert (engine.evaluate(circuit, inputs).outputs == inputs[[0, -1]]).all()
+
+
+    def test_auto_skips_dense_past_the_budget(self, monkeypatch):
+        # The density rule picks dense only while size x n_nodes entries of
+        # 8 bytes fit the budget, so auto never meets a refused compile.
+        import repro.engine.backends as backends
+
+        circuit = parity_circuit(16)
+        config = EngineConfig(dense_node_limit=0)
+        plan = build_template_plan(circuit)
+        assert select_backend_name(plan, circuit.stats(), config) == "dense"
+        entries = circuit.size * circuit.n_nodes
+        monkeypatch.setattr(backends, "_DENSE_MATRIX_BYTES", entries * 8 - 1)
+        assert select_backend_name(plan, circuit.stats(), config) == "sparse"
+
+
 class TestZeroWidthBatches:
     def test_engine_evaluate_zero_width(self):
         circuit = parity_circuit(4)

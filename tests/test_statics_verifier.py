@@ -25,7 +25,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_compile_equivalence import _soup_circuit, assert_compile_equivalent
+from test_compile_equivalence import (
+    _soup_circuit,
+    _stamp_soup,
+    assert_compile_equivalent,
+)
 from test_golden_counts import CASES
 
 from repro.circuits.circuit import ThresholdCircuit
@@ -293,6 +297,25 @@ class TestProvenance:
         issues = provenance_issues(circuit)
         assert issues and "no compiled template" in issues[0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_per_template_pass_matches_block_by_block(self, data):
+        # The per-template pass reports exactly what the block-by-block
+        # reference reports, in the same order, on clean and tampered
+        # provenance alike.
+        circuit = _stamp_soup(data)
+        _tamper_blocks(circuit, data)
+        assert provenance_issues(circuit) == _reference_provenance_issues(circuit)
+
+    def test_per_template_pass_matches_on_constructions(self):
+        for name in ("matmul-strassen-n4-b1", "trace-strassen-n4-b1-tau0"):
+            circuit = CASES[name]()
+            assert provenance_issues(circuit) == []
+            assert _reference_provenance_issues(circuit) == []
+        circuit = _tamper_first_block(self._stamped())
+        issues = provenance_issues(circuit)
+        assert issues and issues == _reference_provenance_issues(circuit)
+
     def test_shifted_base_detected(self):
         circuit = self._stamped()
         block = circuit.template_blocks[0]
@@ -302,6 +325,141 @@ class TestProvenance:
         # A one-gate shift must break *something* — fan-ins, weights,
         # thresholds or sources no longer re-derive at the shifted range.
         assert provenance_issues(circuit)
+
+
+def _reference_provenance_issues(circuit):
+    """The block-by-block provenance pass, kept as the reference the
+    per-template pass must reproduce issue for issue."""
+    issues = []
+    blocks = [b for b in getattr(circuit, "template_blocks", []) if getattr(b, "k", 0)]
+    if not blocks:
+        return issues
+    cols = circuit.columnar()
+    n_inputs = circuit.n_inputs
+    size = cols.n_gates
+    cursor = 0
+    for block in sorted(blocks, key=lambda b: b.base):
+        label = f"template block at node {int(block.base)}"
+        template = block.template
+        if template is None or template.n_gates == 0:
+            issues.append(f"{label}: no compiled template attached")
+            continue
+        params = np.asarray(block.params)
+        if params.ndim != 2 or params.shape[1] != template.n_params:
+            issues.append(
+                f"{label}: parameter rows have shape {params.shape}, "
+                f"expected (k, {template.n_params})"
+            )
+            continue
+        if params.size and (int(params.min()) < 0 or int(params.max()) >= block.base):
+            issues.append(
+                f"{label}: parameter node ids must lie in [0, {int(block.base)})"
+            )
+            continue
+        first = int(block.base) - n_inputs
+        length = block.k * template.n_gates
+        if first < cursor:
+            issues.append(f"{label}: overlaps the preceding block")
+            continue
+        if first < 0 or first + length > size:
+            issues.append(f"{label}: extends outside the gate range")
+            continue
+        cursor = first + length
+        fan = np.diff(template.offsets)
+        actual_fan = np.diff(cols.offsets[first : first + length + 1])
+        if not np.array_equal(actual_fan, np.tile(fan, block.k)):
+            issues.append(f"{label}: stamped fan-ins do not match the template")
+            continue
+        if not np.array_equal(
+            cols.thresholds[first : first + length],
+            np.tile(template.thresholds, block.k),
+        ):
+            issues.append(f"{label}: stamped thresholds do not match the template")
+            continue
+        lo = int(cols.offsets[first])
+        hi = int(cols.offsets[first + length])
+        if not np.array_equal(cols.weights[lo:hi], np.tile(template.weights, block.k)):
+            issues.append(f"{label}: stamped weights do not match the template")
+            continue
+        shift = np.arange(block.k, dtype=np.int64)[:, None] * template.n_gates
+        internal = int(block.base) - template.n_params + template.sources + shift
+        if template.n_params:
+            is_param = template.sources < template.n_params
+            slots = np.where(is_param, template.sources, 0)
+            expected = np.where(is_param[None, :], params[:, slots], internal)
+        else:
+            expected = internal
+        actual = cols.sources[lo:hi]
+        if not np.array_equal(actual, expected.reshape(-1)):
+            mismatch = np.nonzero(actual != expected.reshape(-1))[0]
+            issues.append(
+                f"{label}: stamped sources diverge from the template "
+                f"re-derivation (first at wire {int(mismatch[0])} of the "
+                f"block, {mismatch.size} wire(s) total)"
+            )
+    return issues
+
+
+def _tamper_blocks(circuit, data):
+    """Apply 0-3 random edits to the circuit's template blocks."""
+    from repro.circuits.template import CompiledTemplate
+
+    blocks = circuit.template_blocks
+    if not blocks:
+        return circuit
+    for step in range(data.draw(st.integers(min_value=0, max_value=3), label="edits")):
+        index = data.draw(st.integers(0, len(blocks) - 1), label=f"{step}/block")
+        block = blocks[index]
+        params = np.array(block.params)
+        template = block.template
+        kind = data.draw(
+            st.sampled_from(
+                ["shift", "param", "rows", "template", "shape", "copy", "weights", "k"]
+            ),
+            label=f"{step}/kind",
+        )
+        if kind == "shift":
+            delta = data.draw(st.sampled_from([-2, -1, 1, 2]), label=f"{step}/delta")
+            block = dataclasses.replace(block, base=int(block.base) + delta)
+        elif kind == "param" and params.size:
+            row = data.draw(st.integers(0, params.shape[0] - 1), label=f"{step}/row")
+            col = data.draw(st.integers(0, params.shape[1] - 1), label=f"{step}/col")
+            params[row, col] = data.draw(
+                st.integers(-1, circuit.n_nodes), label=f"{step}/node"
+            )
+            block = dataclasses.replace(block, params=params)
+        elif kind == "rows":
+            block = dataclasses.replace(block, params=params[::-1].copy())
+        elif kind == "template":
+            block = dataclasses.replace(block, template=None)
+        elif kind == "shape" and params.shape[1]:
+            block = dataclasses.replace(block, params=params[:, 1:].copy())
+        elif kind == "copy":
+            blocks.append(dataclasses.replace(block))
+        elif kind == "weights" and template is not None and len(template.weights):
+            field = data.draw(
+                st.sampled_from(["weights", "thresholds"]), label=f"{step}/field"
+            )
+            weights = np.array(template.weights)
+            thresholds = np.array(template.thresholds)
+            (weights if field == "weights" else thresholds)[0] += 1
+            block = dataclasses.replace(
+                block,
+                template=CompiledTemplate(
+                    template.n_params,
+                    template.sources,
+                    template.offsets,
+                    weights,
+                    thresholds,
+                    template.rel_depths,
+                ),
+            )
+        elif kind == "k":
+            grow = data.draw(st.booleans(), label=f"{step}/grow")
+            rows = np.concatenate([params, params[-1:]]) if grow else params[:-1]
+            block = dataclasses.replace(block, params=rows.copy())
+        blocks[index] = block
+    return circuit
 
 
 # --------------------------------------------------------------------------- #
@@ -363,6 +521,70 @@ class TestPlanChecks:
         )
         plan.segments[index] = dataclasses.replace(block, base=int(block.base) + 1)
         assert any("tiling cursor" in i for i in _plan_issues(plan))
+
+    @staticmethod
+    def _producer(plan, node):
+        """The index of the plan segment that writes ``node``."""
+        for index, segment in enumerate(plan.segments):
+            if isinstance(segment, ResidualSegment):
+                if any(node in layer.nodes for layer in segment.layers):
+                    return index
+            elif 0 <= node - segment.base < segment.k * segment.n_gates:
+                return index
+        raise AssertionError(f"no segment writes node {node}")
+
+    def test_levels_reported(self):
+        circuit, plan = self._plan()
+        report = verify_circuit(circuit)
+        assert report.ok, report.issues
+        assert len(plan.levels) == len(plan.segments)
+        assert report.info["plan_levels"] == max(plan.levels) > 1
+        blocks = [s for s in plan.segments if not isinstance(s, ResidualSegment)]
+        # Blocks of one template in one level share a group.
+        assert blocks
+        assert report.info["plan_groups"] == len(plan.schedule()) < len(plan.segments)
+
+    def test_block_at_its_producers_level_detected(self):
+        _, plan = self._plan()
+        index, producer = next(
+            (i, self._producer(plan, int(s.params.max())))
+            for i, s in enumerate(plan.segments)
+            if not isinstance(s, ResidualSegment)
+            and s.params.size
+            and s.params.max() >= plan.n_inputs
+        )
+        plan.levels[index] = plan.levels[producer]
+        assert any(
+            f"segment {index} at level" in i for i in _plan_issues(plan)
+        ), _plan_issues(plan)
+
+    def test_residual_below_a_block_it_reads_detected(self):
+        _, plan = self._plan()
+        index, producer = next(
+            (i, p)
+            for i, s in enumerate(plan.segments)
+            if isinstance(s, ResidualSegment)
+            for p in {
+                self._producer(plan, int(node))
+                for layer in s.layers
+                for node in layer.cols
+                if node >= plan.n_inputs
+            }
+            if p != i and not isinstance(plan.segments[p], ResidualSegment)
+        )
+        plan.levels[index] = plan.levels[producer] - 1
+        assert any(
+            f"segment {index} at level" in i for i in _plan_issues(plan)
+        ), _plan_issues(plan)
+
+    def test_short_levels_detected(self):
+        _, plan = self._plan()
+        plan.levels.pop()
+        issues = _plan_issues(plan)
+        assert any(
+            f"{len(plan.segments) - 1} levels for {len(plan.segments)} segments" in i
+            for i in issues
+        ), issues
 
     def test_refused_provenance_reported(self, monkeypatch):
         # Provenance the provenance pass verified must be accepted by the
