@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import report
+from benchmarks.conftest import report, same_outputs_and_energy
 from repro.circuits.builder import CircuitBuilder
 from repro.core import build_trace_circuit
 from repro.engine import Engine, EngineConfig, evaluate_batched
@@ -103,7 +103,7 @@ def test_e14_trace_circuit_backend_choice(benchmark, rng):
     def run():
         return program.run(batch)
 
-    node_values = benchmark(run)
+    result = benchmark(run)
     rows = [
         {
             "circuit": trace.circuit.name,
@@ -111,9 +111,7 @@ def test_e14_trace_circuit_backend_choice(benchmark, rng):
             "nodes": trace.circuit.n_nodes,
             "batch": 1024,
             "backend": program.backend_name,
-            "mean_energy": float(
-                node_values[trace.circuit.n_inputs :, :].sum(axis=0).mean()
-            ),
+            "mean_energy": float(result.energy.mean()),
         }
     ]
     report("E14: trace circuit stays on the sparse backend", rows)
@@ -145,6 +143,6 @@ def test_e14_sharded_scheduler(benchmark, rng):
     rows = benchmark.pedantic(compute_rows, rounds=1, iterations=1)
     report("E14: serial vs sharded (2 workers) chunked evaluation", rows)
     # Correctness of the sharded path, whatever the timing says.
-    serial_values = evaluate_batched(program, batch, serial_config)
-    sharded_values = evaluate_batched(program, batch, sharded_config)
-    assert (serial_values == sharded_values).all()
+    serial = evaluate_batched(program, batch, serial_config)
+    sharded = evaluate_batched(program, batch, sharded_config)
+    assert same_outputs_and_energy(sharded, serial)

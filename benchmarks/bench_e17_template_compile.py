@@ -63,7 +63,10 @@ def _compile_case(name, build, required, rounds=2, backend="sparse"):
     rng = np.random.default_rng(17)
     probe = rng.integers(0, 2, size=(circuit.n_inputs, 2)).astype(np.int64)
     bit_identical = bool(
-        (template_prog.run(probe) == csr_prog.run(probe)).all()
+        (
+            template_prog.run(probe, keep_nodes=True).nodes
+            == csr_prog.run(probe, keep_nodes=True).nodes
+        ).all()
     )
     return {
         "case": name,

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import report
+from benchmarks.conftest import report, same_outputs_and_energy
 from repro.core.naive_circuits import build_naive_matmul_circuit
 from repro.engine import Engine, EngineConfig, EvaluationService, evaluate_batched
 
@@ -111,7 +111,7 @@ def _service_case(name, n, workers, batch_width, repeats, required, required_pip
     )
 
     bit_identical = all(
-        (got == want).all()
+        same_outputs_and_energy(got, want)
         for outputs in (percall_results, service_results, pipelined_results)
         for got, want in zip(outputs, expected)
     )

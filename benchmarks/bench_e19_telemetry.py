@@ -23,9 +23,14 @@ The two modes are timed best-of-rounds with the rounds *interleaved*
 the per-query instrumentation cost, and interleaving exposes both modes to
 the same drift so the best-of comparison cancels it (sequential
 all-of-one-then-all-of-the-other rounds showed swings of +/-10% on
-identical code).  The headline assertion pins enabled-telemetry overhead
-below 3% in full mode; quick mode (``E19_QUICK=1``, CI-sized) uses a looser
-10% gate because the shrunken stream amplifies timer noise.  The enabled pass must also actually record
+identical code).  Both modes run 7 rounds, each repeating the stream
+until it has lasted at least ``MIN_ROUND_S`` and reporting seconds per
+pass: a quick n=16 round of one pass took about 0.18 s, where a few
+milliseconds of drift between the two modes already crossed the gate.
+The headline assertion pins
+enabled-telemetry overhead below 3% in full mode; quick mode
+(``E19_QUICK=1``, CI-sized) uses a looser 10% gate because the shrunken
+stream amplifies timer noise.  The enabled pass must also actually record
 the series the subsystem promises (cache hits, evaluate spans, chunk
 counts) — an accidentally-dead registry would otherwise "win" the overhead
 comparison.  Rows go to ``BENCH_e19.json`` at the repository root.
@@ -46,8 +51,10 @@ from repro.engine import Engine, EngineConfig
 QUICK = os.environ.get("E19_QUICK") == "1"
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_e19.json"
 
-#: Timed passes per mode; the best one is reported.
-ROUNDS = 3 if QUICK else 7
+#: Timed rounds per mode, interleaved; the best one is reported.
+ROUNDS = 7
+#: Shortest timed round: the stream repeats until one round lasts this long.
+MIN_ROUND_S = 0.5
 
 
 def _query_stream(circuit, batch_width, repeats, seed=19):
@@ -59,10 +66,17 @@ def _query_stream(circuit, batch_width, repeats, seed=19):
 
 
 def _run_stream(engine, circuit, batches):
+    """Seconds per pass over the stream, in a round that repeats the stream
+    until it has lasted ``MIN_ROUND_S``."""
+    passes = 0
     start = time.perf_counter()
-    for batch in batches:
-        engine.evaluate(circuit, batch)
-    return time.perf_counter() - start
+    while True:
+        for batch in batches:
+            engine.evaluate(circuit, batch)
+        passes += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= MIN_ROUND_S:
+            return elapsed / passes
 
 
 def _overhead_case(name, n, batch_width, repeats, max_overhead):
@@ -84,9 +98,7 @@ def _overhead_case(name, n, batch_width, repeats, max_overhead):
         engine_enabled.evaluate(circuit, batches[0])
         for _ in range(ROUNDS):
             obs.disable()
-            disabled_s = min(
-                disabled_s, _run_stream(engine_disabled, circuit, batches)
-            )
+            disabled_s = min(disabled_s, _run_stream(engine_disabled, circuit, batches))
             obs.set_registry(registry)
             enabled_s = min(enabled_s, _run_stream(engine_enabled, circuit, batches))
         snapshot = registry.snapshot()
@@ -122,6 +134,7 @@ def _overhead_case(name, n, batch_width, repeats, max_overhead):
         "batch": batch_width,
         "queries": repeats,
         "rounds": ROUNDS,
+        "min_round_s": MIN_ROUND_S,
         "disabled_s": round(disabled_s, 4),
         "enabled_s": round(enabled_s, 4),
         "overhead_pct": round(overhead * 100.0, 2),

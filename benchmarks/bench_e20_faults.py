@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import report
+from benchmarks.conftest import report, same_outputs_and_energy
 from repro.core.naive_circuits import build_naive_matmul_circuit
 from repro.engine import Engine, EngineConfig, EvaluationService, FaultPlan
 
@@ -98,7 +98,7 @@ def _fault_case(name, n, workers, batch_width, repeats):
     fault_s, fault_results, fault_stats = _run_stream(program, batches, faulty)
 
     bit_identical = all(
-        (got == want).all()
+        same_outputs_and_energy(got, want)
         for outputs in (bare_results, hard_results, fault_results)
         for got, want in zip(outputs, expected)
     )

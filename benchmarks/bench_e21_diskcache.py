@@ -147,7 +147,12 @@ def _restore_case(name, build, required):
 
         rng = np.random.default_rng(17)
         probe = rng.integers(0, 2, size=(circuit.n_inputs, 2)).astype(np.int64)
-        bit_identical = bool((restored.run(probe) == program.run(probe)).all())
+        bit_identical = bool(
+            (
+                restored.run(probe, keep_nodes=True).nodes
+                == program.run(probe, keep_nodes=True).nodes
+            ).all()
+        )
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 

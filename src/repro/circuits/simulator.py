@@ -343,7 +343,9 @@ class SimulationResult:
     Attributes
     ----------
     node_values:
-        Array of shape ``(n_nodes, batch)`` with the 0/1 value of every node.
+        Array of shape ``(n_nodes, batch)`` with the 0/1 value of every
+        node when the evaluation kept them (``keep_nodes=True``), else an
+        empty ``(0, batch)`` int8 array.
     outputs:
         Array of shape ``(n_outputs, batch)`` with the declared outputs.
     energy:
@@ -358,15 +360,16 @@ class SimulationResult:
 
 
 def simulate(
-    circuit: ThresholdCircuit, inputs: np.ndarray, engine=None
+    circuit: ThresholdCircuit, inputs: np.ndarray, engine=None, keep_nodes=False
 ) -> SimulationResult:
     """One-shot convenience wrapper, routed through the execution engine.
 
     Repeated calls on structurally identical circuits hit the engine's
     compile cache instead of recompiling; pass ``engine`` to use a private
-    :class:`~repro.engine.Engine` instead of the process-wide default.
+    :class:`~repro.engine.Engine` instead of the process-wide default, and
+    ``keep_nodes=True`` to read internal nodes from ``node_values``.
     """
     from repro.engine import default_engine
 
     eng = engine if engine is not None else default_engine()
-    return eng.evaluate(circuit, inputs)
+    return eng.evaluate(circuit, inputs, keep_nodes=keep_nodes)

@@ -12,7 +12,7 @@ This subpackage owns everything between "a ThresholdCircuit exists" and
 * :mod:`repro.engine.backends` — pluggable sparse / dense / exact backends
   behind a common protocol, with auto-selection from circuit stats;
 * :mod:`repro.engine.scheduler` — chunked and process-parallel batch
-  evaluation (per-call pool);
+  evaluation (per-call pool) into outputs-plus-energy result blocks;
 * :mod:`repro.engine.service` — the resident :class:`EvaluationService`:
   a persistent worker pool with install-once programs, shared-memory
   batch transport, a futures-based submission API, and a hardening
@@ -35,9 +35,11 @@ from repro.engine.backends import (
     CompiledProgram,
     DenseBackend,
     ExactBackend,
+    RunResult,
     SparseBackend,
     backend_registry,
     get_backend,
+    run_chunk_width,
     select_backend_name,
 )
 from repro.engine.cache import CacheInfo, CompileCache
@@ -91,6 +93,7 @@ __all__ = [
     "EvaluationService",
     "ExactBackend",
     "FaultPlan",
+    "RunResult",
     "ServiceClosed",
     "ServiceStats",
     "SparseBackend",
@@ -107,6 +110,7 @@ __all__ = [
     "get_backend",
     "iter_column_chunks",
     "narrowed_chunk_size",
+    "run_chunk_width",
     "run_serial",
     "select_backend_name",
     "set_default_engine",

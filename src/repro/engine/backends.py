@@ -4,7 +4,9 @@ Every backend compiles the one plan form,
 :class:`~repro.circuits.simulator.TemplatePlan` (template blocks plus
 residual runs), into a *compiled program*: a picklable object holding only
 arrays and ints (so the batch scheduler can ship it to worker processes)
-that maps a 0/1 input block to the 0/1 values of every node.  The program
+that maps a 0/1 input block to a :class:`RunResult`: the output rows and
+the energy (the number of gates that fire) of every column, plus the 0/1
+value of every node when the caller asks to keep them.  The program
 runs the plan's schedule level by level: all stamps of one template in one
 level evaluate together, with one matrix product per template layer (per
 stamp chunk, when the batch is wide); a residual run evaluates with one
@@ -44,7 +46,7 @@ overflow verdict, or forced through the engine config.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Protocol, runtime_checkable
+from typing import Dict, List, NamedTuple, Optional, Protocol, runtime_checkable
 
 import numpy as np
 from scipy import sparse
@@ -60,15 +62,32 @@ __all__ = [
     "CompiledProgram",
     "DenseBackend",
     "ExactBackend",
+    "RunResult",
     "SparseBackend",
     "backend_registry",
     "get_backend",
+    "run_chunk_width",
     "select_backend_name",
 ]
 
 
 class BackendError(ValueError):
     """Raised when a circuit cannot be compiled for the requested backend."""
+
+
+class RunResult(NamedTuple):
+    """What evaluating a ``(n_inputs, batch)`` block returns.
+
+    ``outputs`` holds the ``(n_outputs, batch)`` int8 output rows in
+    ``circuit.outputs`` order; ``energy`` the ``(batch,)`` int64 number of
+    gates that fire on each column (the energy of the paper's Section 6);
+    ``nodes`` the ``(n_nodes, batch)`` int8 value of every node, or None
+    unless the run was asked to keep them.
+    """
+
+    outputs: np.ndarray
+    energy: np.ndarray
+    nodes: Optional[np.ndarray] = None
 
 
 @runtime_checkable
@@ -83,9 +102,11 @@ class CompiledProgram(Protocol):
     n_inputs: int
     n_nodes: int
     outputs: List[int]
+    values_dtype: np.dtype
 
-    def run(self, inputs: np.ndarray) -> np.ndarray:
-        """Map a ``(n_inputs, batch)`` 0/1 block to ``(n_nodes, batch)`` int8."""
+    def run(self, inputs: np.ndarray, keep_nodes: bool = False) -> RunResult:
+        """Map a ``(n_inputs, batch)`` 0/1 block to its outputs and energy
+        (and its ``(n_nodes, batch)`` int8 node values with ``keep_nodes``)."""
         ...
 
 
@@ -111,8 +132,23 @@ def _lane_dtype(plan: TemplatePlan, backend: str) -> np.dtype:
 
 #: The most bytes one stamp chunk's local value matrix may take.  A group
 #: of stamps runs in chunks of as many stamps as fit, so a wide batch
-#: never materializes every stamp's locals at once.
+#: never materializes every stamp's locals at once.  Above a quarter of
+#: this, a chunk's matrix also stays within 1/32 of the run's node buffer:
+#: a layer's sums never outgrow the matrix, so a stamp chunk adds at most
+#: 1/16 of a large node buffer to a run's peak memory.
 _STAMP_CHUNK_BYTES = 1 << 20
+
+#: The most bytes one run's node-value buffer may take.  A wider batch runs
+#: in column chunks of :func:`run_chunk_width` columns.
+_RUN_BUFFER_BYTES = 256 << 20
+
+
+def run_chunk_width(program: "CompiledProgram", chunk_size: int) -> int:
+    """Columns per ``program.run``: ``chunk_size``, narrowed so the node
+    buffer (``n_nodes`` values of the program's lane per column) stays
+    within ``_RUN_BUFFER_BYTES``."""
+    column = program.n_nodes * np.dtype(program.values_dtype).itemsize
+    return min(chunk_size, max(1, _RUN_BUFFER_BYTES // max(1, column)))
 
 
 def _rows(values: np.ndarray) -> np.ndarray:
@@ -125,21 +161,26 @@ def _rows(values: np.ndarray) -> np.ndarray:
     return values.view(row).reshape(-1)
 
 
-def _stamp_chunks(node_values: np.ndarray, group: tuple, dtype):
-    """Yield the local value matrix of each stamp chunk of a template group.
+def _stamp_chunks(node_values: np.ndarray, group: tuple, dtype, energy: np.ndarray):
+    """Yield ``(local, spikes)`` for each stamp chunk of a template group.
 
-    A chunk's matrix has shape ``(n_params + n_gates, count * batch)``:
-    column ``i * batch + b`` is its stamp ``i``'s batch column ``b``, and
-    the parameter rows arrive filled.  Once the caller has evaluated the
-    gate rows, resuming the generator writes them back to their node rows.
+    A chunk's matrix ``local`` has shape ``(n_params + n_gates, count *
+    batch)``: column ``i * batch + b`` is its stamp ``i``'s batch column
+    ``b``, and the parameter rows arrive filled.  The caller evaluates the
+    gate rows and counts each column's fired gates into ``spikes``; resuming
+    the generator folds ``spikes`` into ``energy`` by batch column and
+    writes the gate rows back to their node rows.
     """
     params, shifts, ends, n_params, n_gates, _layers = group
     batch = node_values.shape[1]
     if not batch:
         return
     node_rows = _rows(node_values)
+    budget = min(
+        _STAMP_CHUNK_BYTES, max(_STAMP_CHUNK_BYTES // 4, node_values.nbytes // 32)
+    )
     width = (n_params + n_gates) * batch * np.dtype(dtype).itemsize
-    step = max(1, _STAMP_CHUNK_BYTES // width)
+    step = max(1, budget // width)
     for lo in range(0, len(params), step):
         hi = min(lo + step, len(params))
         count = hi - lo
@@ -148,7 +189,9 @@ def _stamp_chunks(node_values: np.ndarray, group: tuple, dtype):
         local_rows = _rows(local.reshape(-1, batch))
         if n_params:
             local_rows[: n_params * count] = node_rows[params[lo:hi].T.reshape(-1)]
-        yield local
+        spikes = np.zeros(count * batch, dtype=np.int64)
+        yield local, spikes
+        energy += spikes.reshape(count, batch).sum(axis=0)
         stamps = np.arange(lo, hi, dtype=np.int64)
         blocks = np.searchsorted(ends, stamps, side="right")
         targets = np.arange(n_gates)[:, None] + (shifts[blocks] + stamps * n_gates)
@@ -185,7 +228,8 @@ class _SegmentProgram:
     layer: a CSR matrix over every node column (sparse), or a dense matrix
     over the layer's source rows (dense) — a view of their id range when
     they fill at least half of it, else the distinct rows gathered at most
-    ``_GATHER_ROWS`` at a time.
+    ``_GATHER_ROWS`` at a time.  Each layer's fired block is counted into
+    the energy right after its threshold, while it is still in cache.
     ``values_dtype`` is the plan's numeric lane, shared by the node-value
     buffer, the weight matrices and the thresholds: float32, float64 or
     int64.  Values are 0/1 and every sum is an integer below the lane's
@@ -208,11 +252,12 @@ class _SegmentProgram:
         self.segments = segments
         self.values_dtype = values_dtype
 
-    def run(self, inputs: np.ndarray) -> np.ndarray:
+    def run(self, inputs: np.ndarray, keep_nodes: bool = False) -> RunResult:
         node_values = np.zeros(
             (self.n_nodes, inputs.shape[1]), dtype=self.values_dtype
         )
         node_values[: self.n_inputs, :] = inputs
+        energy = np.zeros(inputs.shape[1], dtype=np.int64)
         registry = get_registry()
         # Debug-mode telemetry only: per-layer GEMM timings.  Kept off the
         # default path — a span per layer would dominate tiny layers.
@@ -222,20 +267,37 @@ class _SegmentProgram:
             else None
         )
 
-        def run_layers(values: np.ndarray, layers: list) -> None:
+        def run_layers(values: np.ndarray, layers: list, spikes: np.ndarray) -> None:
             for rows, terms, thresholds in layers:
                 start = time.perf_counter() if gemm is not None else 0.0
-                values[rows] = _layer_sums(values, terms) >= thresholds[:, None]
+                # The 0/1 fired block overwrites the sums in place, in the
+                # lane dtype, so the scatter below needs no cast copy.
+                fired = _layer_sums(values, terms)
+                np.greater_equal(fired, thresholds[:, None], out=fired)
+                spikes += fired.sum(axis=0).astype(np.int64, copy=False)
+                values[rows] = fired
                 if gemm is not None:
                     gemm.observe(time.perf_counter() - start)
 
         for kind, payload in self.segments:
             if kind == "tpl":
-                for local in _stamp_chunks(node_values, payload, self.values_dtype):
-                    run_layers(local, payload[5])
+                for local, spikes in _stamp_chunks(
+                    node_values, payload, self.values_dtype, energy
+                ):
+                    run_layers(local, payload[5], spikes)
             else:
-                run_layers(node_values, payload)
-        return node_values.astype(np.int8)
+                run_layers(node_values, payload, energy)
+        return _run_result(node_values, self.outputs, energy, keep_nodes)
+
+
+def _run_result(
+    node_values: np.ndarray, outputs: List[int], energy: np.ndarray, keep_nodes: bool
+) -> RunResult:
+    """The output rows (and, kept, every node row) of a finished run as int8."""
+    if keep_nodes:
+        nodes = node_values.astype(np.int8)
+        return RunResult(nodes[outputs], energy, nodes)
+    return RunResult(node_values[outputs].astype(np.int8), energy)
 
 
 def _lane_array(values, dtype) -> np.ndarray:
@@ -431,14 +493,16 @@ def _object_weights(weights) -> np.ndarray:
     return out
 
 
-def _run_exact_gates(values: np.ndarray, gates: list) -> None:
-    """Evaluate ``(row, sources, weights, threshold)`` gates in order, in place."""
+def _run_exact_gates(values: np.ndarray, gates: list, spikes: np.ndarray) -> None:
+    """Evaluate ``(row, sources, weights, threshold)`` gates in order, in
+    place, counting each column's fired gates into ``spikes``."""
     width = values.shape[1]
     for row, sources, weights, threshold in gates:
         if sources.size:
             fired = (weights[:, None] * values[sources, :]).sum(axis=0) >= threshold
         else:
             fired = np.full(width, 0 >= threshold)
+        spikes += fired
         # astype(object) boxes Python ints, keeping later products exact.
         values[row, :] = np.where(fired, 1, 0).astype(object)
 
@@ -453,6 +517,7 @@ class _ExactSegmentProgram:
     """
 
     backend_name = "exact"
+    values_dtype = np.dtype(object)
 
     def __init__(
         self,
@@ -467,19 +532,20 @@ class _ExactSegmentProgram:
         self.outputs = outputs
         self.segments = segments
 
-    def run(self, inputs: np.ndarray) -> np.ndarray:
+    def run(self, inputs: np.ndarray, keep_nodes: bool = False) -> RunResult:
         values = np.zeros((self.n_nodes, inputs.shape[1]), dtype=object)
         # Coerce through int64 first: validated inputs are 0/1 but may arrive
         # as floats, and a float leaking into the object products would poison
         # the arbitrary-precision arithmetic with float64 rounding.
         values[: self.n_inputs, :] = inputs.astype(np.int64).astype(object)
+        energy = np.zeros(inputs.shape[1], dtype=np.int64)
         for kind, payload in self.segments:
             if kind == "tpl":
-                for local in _stamp_chunks(values, payload, object):
-                    _run_exact_gates(local, payload[5])
+                for local, spikes in _stamp_chunks(values, payload, object, energy):
+                    _run_exact_gates(local, payload[5], spikes)
             else:
-                _run_exact_gates(values, payload)
-        return values.astype(np.int8)
+                _run_exact_gates(values, payload, energy)
+        return _run_result(values, self.outputs, energy, keep_nodes)
 
 
 def _exact_template_gates(template) -> list:

@@ -7,7 +7,8 @@ circuits plus input batches into results:
   auto-selection, compilation on miss;
 * :meth:`Engine.evaluate` — batched evaluation through the chunked /
   process-parallel scheduler, returning the familiar
-  :class:`~repro.circuits.simulator.SimulationResult`;
+  :class:`~repro.circuits.simulator.SimulationResult` of outputs and
+  energy (every node's value only with ``keep_nodes=True``);
 * :meth:`Engine.submit` — the same, as a future, pipelined through the
   persistent evaluation service;
 * :meth:`Engine.spike_trace` — the spiking-mode activity trace.
@@ -39,7 +40,12 @@ from repro.circuits.simulator import (
     build_template_plan,
     check_batch_inputs,
 )
-from repro.engine.backends import CompiledProgram, get_backend, select_backend_name
+from repro.engine.backends import (
+    CompiledProgram,
+    RunResult,
+    get_backend,
+    select_backend_name,
+)
 from repro.engine.cache import CacheInfo, CompileCache
 from repro.engine.config import BACKEND_NAMES, EngineConfig
 from repro.engine.diskcache import DiskArtifactStore
@@ -222,21 +228,27 @@ class Engine:
             and batch > 1
         )
 
-    def _node_values(self, entry: _CacheEntry, inputs: np.ndarray) -> np.ndarray:
-        """Batched node values via the service or the per-call scheduler."""
+    def _run(
+        self, entry: _CacheEntry, inputs: np.ndarray, keep_nodes: bool
+    ) -> RunResult:
+        """A batch's run result via the service or the per-call scheduler."""
         registry = get_registry()
+        program = entry.program
         if self._service_eligible(inputs.shape[1]):
             with registry.span(
                 "engine.evaluate_s", route="service", backend=entry.key[1]
             ):
                 return self._service_for().evaluate(
-                    entry.program,
+                    program,
                     inputs,
                     key=entry.key,
-                    chunk_size=narrowed_chunk_size(inputs.shape[1], self.config),
+                    chunk_size=narrowed_chunk_size(
+                        program, inputs.shape[1], self.config
+                    ),
+                    keep_nodes=keep_nodes,
                 )
         with registry.span("engine.evaluate_s", route="local", backend=entry.key[1]):
-            return evaluate_batched(entry.program, inputs, self.config)
+            return evaluate_batched(program, inputs, self.config, keep_nodes)
 
     def close(self) -> None:
         """Shut down the resident evaluation service, if one was started.
@@ -259,28 +271,28 @@ class Engine:
 
     # --------------------------------------------------------------- evaluate
     @staticmethod
-    def _to_result(
-        circuit: ThresholdCircuit, node_values: np.ndarray, squeeze: bool
-    ) -> SimulationResult:
-        batch = node_values.shape[1]
-        outputs = (
-            node_values[circuit.outputs, :]
-            if circuit.outputs
-            else np.zeros((0, batch), dtype=np.int8)
-        )
-        energy = node_values[circuit.n_inputs :, :].sum(axis=0).astype(np.int64)
+    def _to_result(result: RunResult, squeeze: bool) -> SimulationResult:
+        nodes = result.nodes
+        if nodes is None:
+            nodes = np.empty((0, len(result.energy)), dtype=np.int8)
+        outputs, energy = result.outputs, result.energy
         if squeeze:
-            return SimulationResult(node_values[:, 0], outputs[:, 0], energy[0])
-        return SimulationResult(node_values, outputs, energy)
+            return SimulationResult(nodes[:, 0], outputs[:, 0], energy[0])
+        return SimulationResult(nodes, outputs, energy)
 
     def evaluate(
         self,
         circuit: ThresholdCircuit,
         inputs: np.ndarray,
         backend: Optional[str] = None,
+        keep_nodes: bool = False,
     ) -> SimulationResult:
         """Evaluate a circuit on one input vector or a ``(n_inputs, batch)``
-        block, compiling (or fetching from cache) as needed."""
+        block, compiling (or fetching from cache) as needed.
+
+        The result carries the outputs and the energy; its ``node_values``
+        is an empty ``(0, batch)`` array unless ``keep_nodes`` asks for
+        every node's value."""
         inputs = np.asarray(inputs)
         squeeze = inputs.ndim == 1
         if squeeze:
@@ -292,8 +304,7 @@ class Engine:
             registry.counter("engine.eval_columns", backend=entry.key[1]).inc(
                 inputs.shape[1]
             )
-        node_values = self._node_values(entry, inputs)
-        return self._to_result(circuit, node_values, squeeze)
+        return self._to_result(self._run(entry, inputs, keep_nodes), squeeze)
 
     def submit(
         self,
@@ -301,6 +312,7 @@ class Engine:
         inputs: np.ndarray,
         backend: Optional[str] = None,
         timeout: Optional[float] = None,
+        keep_nodes: bool = False,
     ) -> "Future[SimulationResult]":
         """Pipelined :meth:`evaluate`: a future of the simulation result.
 
@@ -317,7 +329,7 @@ class Engine:
         evaluations complete before ``submit`` returns, so a deadline has
         nothing to bound there and is ignored.
         """
-        from repro.engine.service import chain_future, transform_executor
+        from repro.engine.service import chain_future
 
         inputs = np.asarray(inputs)
         squeeze = inputs.ndim == 1
@@ -336,23 +348,20 @@ class Engine:
                     entry.program,
                     inputs,
                     key=entry.key,
-                    chunk_size=narrowed_chunk_size(inputs.shape[1], self.config),
+                    chunk_size=narrowed_chunk_size(
+                        entry.program, inputs.shape[1], self.config
+                    ),
                     timeout=timeout,
+                    keep_nodes=keep_nodes,
                 )
-            # The result transform gathers output rows and reduces the full
-            # node matrix for energy — too heavy for the dispatcher thread
-            # that completes service futures, so it runs on the shared
-            # transform executor.
-            return chain_future(
-                inner,
-                lambda values: self._to_result(circuit, values, squeeze),
-                executor=transform_executor(),
-            )
+            # Wrapping the run result copies nothing, so it runs on the
+            # dispatcher thread that completes service futures.
+            return chain_future(inner, lambda result: self._to_result(result, squeeze))
         future: "Future[SimulationResult]" = Future()
         future.set_running_or_notify_cancel()
         try:
-            node_values = evaluate_batched(entry.program, inputs, self.config)
-            future.set_result(self._to_result(circuit, node_values, squeeze))
+            result = evaluate_batched(entry.program, inputs, self.config, keep_nodes)
+            future.set_result(self._to_result(result, squeeze))
         except Exception as exc:
             future.set_exception(exc)
         except BaseException as exc:
@@ -398,8 +407,7 @@ class Engine:
         check_batch_inputs(circuit, inputs)
         entry = self._entry(circuit, backend)
         activity = self._activity_plan(circuit, entry.key[0])
-        node_values = self._node_values(entry, inputs)
-        return compute_spike_trace(activity, node_values)
+        return compute_spike_trace(activity, self._run(entry, inputs, True).nodes)
 
     # ------------------------------------------------------------------ cache
     @property

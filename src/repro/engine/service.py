@@ -10,11 +10,14 @@ queries against it — so this module keeps the workers *resident*:
   program is installed once per ``(structural_hash, backend)`` per worker
   and thereafter referenced by that key, so steady-state requests carry
   only input columns.
-* Wide batches travel through ``multiprocessing.shared_memory`` blocks
-  (one for the inputs, one the workers write their output columns into);
-  small batches fall back to pickling chunks over the queues, which is
-  cheaper than two block setups there.  ``EngineConfig.shared_memory_min_bytes``
-  draws the line.
+* A job's result is its outputs and energy (every node's value only with
+  ``keep_nodes=True``), assembled column range by column range in a
+  :class:`~repro.engine.scheduler.ResultBlock`.  Wide batches travel
+  through ``multiprocessing.shared_memory`` blocks (one for the inputs, one
+  result block the workers write their output and energy columns into);
+  small batches fall back to pickling chunks over the queues and results
+  back, which is cheaper than two block setups there.
+  ``EngineConfig.shared_memory_min_bytes`` draws the line.
 * :meth:`EvaluationService.submit` returns a :class:`concurrent.futures.Future`,
   so many independent jobs — different circuits, different batches — pipeline
   over one pool; ``map`` and :func:`as_completed` ride on top.
@@ -79,10 +82,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 import numpy as np
 
+from repro.engine.backends import RunResult, run_chunk_width
 from repro.engine.config import EngineConfig
 from repro.engine.diskcache import DiskArtifactStore, default_artifact_dir
 from repro.engine.faults import DeadlineExceeded, FaultPlan, fault_plan_from_env
-from repro.engine.scheduler import iter_column_chunks, run_serial
+from repro.engine.scheduler import ResultBlock, iter_column_chunks, run_serial
 from repro.obs import MetricsRegistry, get_registry, set_registry
 
 __all__ = [
@@ -308,15 +312,15 @@ def _attach_block(name: str, fault_state: Optional[_WorkerFaultState] = None) ->
     return block
 
 
-def _execute_task(
-    program, payload, fault_state: Optional[_WorkerFaultState] = None
-) -> Optional[np.ndarray]:
-    """Run one task payload; returns the chunk for pickle transport, else None."""
+def _execute_task(program, payload, fault_state: Optional[_WorkerFaultState] = None):
+    """Run one task payload; returns the run result for pickle transport,
+    else None (the result columns went into the job's result block)."""
     kind = payload[0]
     if kind == "pickle":
-        return program.run(payload[1])
-    # ("shm", in_name, in_shape, in_dtype, out_name, out_shape, start, stop)
-    _, in_name, in_shape, in_dtype, out_name, out_shape, start, stop = payload
+        _, chunk, keep_nodes = payload
+        return program.run(chunk, keep_nodes)
+    # ("shm", in_name, in_shape, in_dtype, out_name, batch, start, stop, keep_nodes)
+    _, in_name, in_shape, in_dtype, out_name, batch, start, stop, keep_nodes = payload
     in_block = None
     out_block = None
     try:
@@ -327,11 +331,11 @@ def _execute_task(
         in_block = _attach_block(in_name, fault_state)
         out_block = _attach_block(out_name, fault_state)
         inputs = np.ndarray(in_shape, dtype=np.dtype(in_dtype), buffer=in_block.buf)
-        outputs = np.ndarray(out_shape, dtype=np.int8, buffer=out_block.buf)
-        outputs[:, start:stop] = program.run(inputs[:, start:stop])
+        result = ResultBlock(program, batch, keep_nodes, buffer=out_block.buf)
+        result.write(start, stop, program.run(inputs[:, start:stop], keep_nodes))
         # Views into the buffers must be gone before close() or the memoryview
         # export check raises BufferError.
-        del inputs, outputs
+        del inputs, result
     finally:
         if in_block is not None:
             in_block.close()
@@ -356,16 +360,17 @@ def _discard_queue(queue) -> None:
         pass
 
 
-def _payload_bytes(payload) -> int:
-    """Transport bytes one task moves (inputs read plus outputs written)."""
+def _payload_bytes(program, payload, reply) -> int:
+    """Transport bytes one task moved: the input columns it read plus the
+    result arrays it sends back (pickle) or the result columns it wrote in
+    place (shm)."""
     if payload[0] == "pickle":
-        return int(payload[1].nbytes) * 2  # chunk over the pipe, result back
-    # ("shm", in_name, in_shape, in_dtype, out_name, out_shape, start, stop)
-    _, _, in_shape, in_dtype, _, out_shape, start, stop = payload
+        sent = sum(array.nbytes for array in reply if array is not None)
+        return int(payload[1].nbytes + sent)
+    _, _, in_shape, in_dtype, _, _, start, stop, keep_nodes = payload
     width = stop - start
     in_bytes = in_shape[0] * width * np.dtype(in_dtype).itemsize
-    out_bytes = out_shape[0] * width  # int8 output columns written in place
-    return int(in_bytes + out_bytes)
+    return int(in_bytes + ResultBlock.nbytes(program, width, keep_nodes))
 
 
 def _drain_delta(registry: Optional[MetricsRegistry]) -> Optional[dict]:
@@ -508,14 +513,14 @@ def _service_worker_main(
                         max(0.0, time.time() - dispatched_at)  # statics: ignore[REP004]
                     )
                 registry.counter("worker.tasks").inc()
-                registry.counter(
-                    "worker.shm_bytes" if payload[0] == "shm" else "worker.pickle_bytes"
-                ).inc(_payload_bytes(payload))
                 start = time.perf_counter()
                 chunk = _execute_task(program, payload, faults)
                 registry.histogram("worker.task_s").observe(
                     time.perf_counter() - start
                 )
+                registry.counter(
+                    "worker.shm_bytes" if payload[0] == "shm" else "worker.pickle_bytes"
+                ).inc(_payload_bytes(program, payload, chunk))
             else:
                 chunk = _execute_task(program, payload, faults)
             if faults is not None:
@@ -622,7 +627,7 @@ class _Job:
         "inputs",
         "in_shape",
         "in_dtype",
-        "n_nodes",
+        "keep_nodes",
         "batch",
         "pending",
         "out",
@@ -635,17 +640,17 @@ class _Job:
         "degraded",
     )
 
-    def __init__(self, future, program, key, inputs, n_nodes, batch) -> None:
+    def __init__(self, future, program, key, inputs, keep_nodes, batch) -> None:
         self.future = future
         self.program = program
         self.key = key
         self.inputs = inputs  # retained for pickle-mode (re-)dispatch; None for shm
         self.in_shape = inputs.shape
         self.in_dtype = str(inputs.dtype)
-        self.n_nodes = n_nodes
+        self.keep_nodes = keep_nodes
         self.batch = batch
         self.pending: set = set()
-        self.out: Optional[np.ndarray] = None  # pickle-mode assembly buffer
+        self.out: Optional[ResultBlock] = None  # pickle-mode assembly
         self.in_shm: Optional[SharedMemory] = None
         self.out_shm: Optional[SharedMemory] = None
         self.done = False
@@ -932,12 +937,22 @@ class EvaluationService:
             return ("anon", next(self._anon_ids))
 
     def submit(
-        self, program, inputs, *, key=None, chunk_size=None, timeout=None
+        self,
+        program,
+        inputs,
+        *,
+        key=None,
+        chunk_size=None,
+        timeout=None,
+        keep_nodes=False,
     ) -> Future:
-        """Schedule one batched evaluation; returns a future of node values.
+        """Schedule one batched evaluation; returns a future of its
+        :class:`~repro.engine.backends.RunResult`.
 
         ``inputs`` is a ``(n_inputs, batch)`` block (a 1-D vector is promoted
-        to one column; the result keeps the 2-D ``(n_nodes, batch)`` shape).
+        to one column; the result keeps 2-D ``(rows, batch)`` shapes).  The
+        result holds the outputs and the energy, plus every node's value
+        when ``keep_nodes`` is set.
         ``key`` identifies the program across calls — the engine passes
         ``(structural_hash, backend)`` — so repeated submissions reuse the
         per-worker installs; omitted keys are derived per program object.
@@ -949,11 +964,13 @@ class EvaluationService:
         degraded serial execution never turn into an unbounded wait.
 
         Jobs are split into column tasks of ``chunk_size`` (default: the
-        config's) — and *not* narrowed to the worker count: a pipelined
-        query stream already keeps every worker busy with whole jobs, and
-        sparse evaluation cost is largely per-chunk, so finer within-job
-        sharding buys latency only when the pool is otherwise idle.  The
-        engine passes its scheduler-narrowed width for blocking calls.
+        config's), narrowed to the program's run width (the byte budget of
+        :func:`~repro.engine.backends.run_chunk_width`) — and *not* to the
+        worker count: a pipelined query stream already keeps every worker
+        busy with whole jobs, and sparse evaluation cost is largely
+        per-chunk, so finer within-job sharding buys latency only when the
+        pool is otherwise idle.  The engine passes its scheduler-narrowed
+        width for blocking calls.
         """
         inputs = np.asarray(inputs)
         if inputs.ndim == 1:
@@ -968,20 +985,23 @@ class EvaluationService:
         future.set_running_or_notify_cancel()
         batch = inputs.shape[1]
         if batch == 0:
-            future.set_result(np.empty((program.n_nodes, 0), dtype=np.int8))
+            future.set_result(ResultBlock(program, 0, keep_nodes).result())
             return future
         if key is None:
             with self._lock:
                 key = self._key_for(program)
 
-        if chunk_size is None:
-            chunk_size = self.config.chunk_size
+        chunk_size = run_chunk_width(
+            program, chunk_size if chunk_size is not None else self.config.chunk_size
+        )
         deadline = time.monotonic() + timeout if timeout is not None else None
         if self._degraded:
-            return self._submit_degraded(future, program, inputs, chunk_size, deadline)
+            return self._submit_degraded(
+                future, program, inputs, chunk_size, deadline, keep_nodes
+            )
         ranges = list(iter_column_chunks(batch, chunk_size))
         self._job_slots.acquire()
-        job = _Job(future, program, key, inputs, program.n_nodes, batch)
+        job = _Job(future, program, key, inputs, keep_nodes, batch)
         job.deadline = deadline
         try:
             use_shm = inputs.nbytes >= self.config.shared_memory_min_bytes
@@ -991,16 +1011,15 @@ class EvaluationService:
                 except (OSError, ValueError):  # no /dev/shm or exhausted space
                     use_shm = False
             if not use_shm:
-                job.out = np.empty((job.n_nodes, batch), dtype=np.int8)
+                job.out = ResultBlock(program, batch, keep_nodes)
             with self._lock:
                 if self._closing or self._closed:
                     raise ServiceClosed("cannot submit to a closed service")
                 self._c_jobs.inc()
+                # The input block each job ships out, on either transport.
                 if job.in_shm is not None:
                     self._c_shm_jobs.inc()
-                    self._c_shm_bytes.inc(
-                        int(inputs.nbytes) + job.n_nodes * batch
-                    )
+                    self._c_shm_bytes.inc(int(inputs.nbytes))
                 else:
                     self._c_pickle_bytes.inc(int(inputs.nbytes))
                 if self._telemetry:
@@ -1029,7 +1048,9 @@ class EvaluationService:
         self._flush_resolutions()
         return future
 
-    def _submit_degraded(self, future, program, inputs, chunk_size, deadline) -> Future:
+    def _submit_degraded(
+        self, future, program, inputs, chunk_size, deadline, keep_nodes
+    ) -> Future:
         """Serial in-process fallback once the pool is gone (degraded mode).
 
         Runs on the submitting thread — by the time the service degrades
@@ -1041,7 +1062,11 @@ class EvaluationService:
             self._c_degraded_jobs.inc()
         try:
             result = run_serial(
-                program, inputs, chunk_size=chunk_size, deadline=deadline
+                program,
+                inputs,
+                chunk_size=chunk_size,
+                keep_nodes=keep_nodes,
+                deadline=deadline,
             )
         except BaseException as exc:
             if isinstance(exc, DeadlineExceeded):
@@ -1054,19 +1079,33 @@ class EvaluationService:
         return future
 
     def evaluate(
-        self, program, inputs, *, key=None, chunk_size=None, timeout=None
-    ) -> np.ndarray:
-        """Blocking :meth:`submit`: the ``(n_nodes, batch)`` node values."""
+        self,
+        program,
+        inputs,
+        *,
+        key=None,
+        chunk_size=None,
+        timeout=None,
+        keep_nodes=False,
+    ) -> RunResult:
+        """Blocking :meth:`submit`: the batch's run result."""
         return self.submit(
-            program, inputs, key=key, chunk_size=chunk_size, timeout=timeout
+            program,
+            inputs,
+            key=key,
+            chunk_size=chunk_size,
+            timeout=timeout,
+            keep_nodes=keep_nodes,
         ).result()
 
     def map(
-        self, program, batches: Iterable, *, key=None, chunk_size=None
-    ) -> Iterator[np.ndarray]:
+        self, program, batches: Iterable, *, key=None, chunk_size=None, keep_nodes=False
+    ) -> Iterator[RunResult]:
         """Submit many batches of one program; yield results in order."""
         futures = [
-            self.submit(program, batch, key=key, chunk_size=chunk_size)
+            self.submit(
+                program, batch, key=key, chunk_size=chunk_size, keep_nodes=keep_nodes
+            )
             for batch in batches
         ]
         for future in futures:
@@ -1075,7 +1114,10 @@ class EvaluationService:
     def _setup_shared_memory(self, job: _Job, inputs: np.ndarray) -> None:
         in_shm = SharedMemory(create=True, size=max(1, inputs.nbytes))
         try:
-            out_shm = SharedMemory(create=True, size=max(1, job.n_nodes * job.batch))
+            out_shm = SharedMemory(
+                create=True,
+                size=max(1, ResultBlock.nbytes(job.program, job.batch, job.keep_nodes)),
+            )
         except BaseException:
             in_shm.close()
             in_shm.unlink()
@@ -1166,11 +1208,12 @@ class EvaluationService:
                 job.in_shape,
                 job.in_dtype,
                 job.out_shm.name,
-                (job.n_nodes, job.batch),
+                job.batch,
                 task.start,
                 task.stop,
+                job.keep_nodes,
             )
-        return ("pickle", job.inputs[:, task.start : task.stop])
+        return ("pickle", job.inputs[:, task.start : task.stop], job.keep_nodes)
 
     def _artifact_resident(self, key) -> bool:
         """Whether the artifact store holds this key (memoized positives).
@@ -1287,7 +1330,7 @@ class EvaluationService:
     def _convert_job_to_pickle(self, job: _Job) -> None:
         """Move a shared-memory job onto pickle transport (lock held).
 
-        Copies the staged inputs and any already-written output columns out
+        Copies the staged inputs and any already-written result columns out
         of the blocks, then closes and unlinks both — exactly once; tasks
         still holding shm payloads hit :class:`_ShmAttachError` on their next
         attach and retry with pickle payloads, and results of tasks already
@@ -1300,9 +1343,12 @@ class EvaluationService:
         job.inputs = np.ndarray(
             job.in_shape, dtype=np.dtype(job.in_dtype), buffer=in_block.buf
         ).copy()
-        job.out = np.ndarray(
-            (job.n_nodes, job.batch), dtype=np.int8, buffer=out_block.buf
-        ).copy()
+        job.out = ResultBlock(
+            job.program,
+            job.batch,
+            job.keep_nodes,
+            buffer=np.frombuffer(out_block.buf, dtype=np.uint8).copy(),
+        )
         job.in_shm = None
         job.out_shm = None
         for block in (in_block, out_block):
@@ -1337,7 +1383,11 @@ class EvaluationService:
                 deadline = job.deadline
             try:
                 part = run_serial(
-                    program, chunk, chunk_size=self.config.chunk_size, deadline=deadline
+                    program,
+                    chunk,
+                    chunk_size=self.config.chunk_size,
+                    keep_nodes=job.keep_nodes,
+                    deadline=deadline,
                 )
             except BaseException as exc:
                 with self._lock:
@@ -1575,17 +1625,17 @@ class EvaluationService:
     def _complete_task(self, task: _Task, payload) -> None:
         job = task.job
         if job.out is not None and payload is not None:
-            job.out[:, task.start : task.stop] = payload
+            job.out.write(task.start, task.stop, payload)
         job.pending.discard(task.task_id)
         if job.pending:
             return
         job.done = True
         if job.out_shm is not None:
-            result = np.ndarray(
-                (job.n_nodes, job.batch), dtype=np.int8, buffer=job.out_shm.buf
-            ).copy()
+            result = ResultBlock(
+                job.program, job.batch, job.keep_nodes, buffer=job.out_shm.buf
+            ).result(copy=True)
         else:
-            result = job.out
+            result = job.out.result()
         if job.started_at is not None:
             self._metrics.histogram("service.job_s").observe(
                 time.perf_counter() - job.started_at

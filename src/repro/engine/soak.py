@@ -9,7 +9,8 @@ driver circuit, the matmul driver circuit — for a configurable duration,
 typically under an active :class:`~repro.engine.faults.FaultPlan`, and
 assert that
 
-* every job's node values are **bit-identical** to the serially computed
+* every job's outputs and energy (and, for the one family that keeps
+  them, node values) are **bit-identical** to the serially computed
   reference (no drift, whatever kills/stalls/drops the plan injected),
 * telemetry counters stay **monotone** across periodic snapshots (a
   shrinking counter means lost or double-merged worker deltas),
@@ -166,35 +167,47 @@ class _Family:
 
     References are computed up front with serial ``program.run`` — the soak
     loop then only compares, so verification never competes with the
-    service for CPU inside the timing window.
+    service for CPU inside the timing window.  ``keep_nodes`` families
+    ask the service for every node's value, the other result shape.
     """
 
-    __slots__ = ("name", "program", "key", "batches", "references")
+    __slots__ = ("name", "program", "key", "batches", "keep_nodes", "references")
 
-    def __init__(self, name, program, key, batches) -> None:
+    def __init__(self, name, program, key, batches, keep_nodes) -> None:
         self.name = name
         self.program = program
         self.key = key
         self.batches = batches
-        self.references = [program.run(batch) for batch in batches]
+        self.keep_nodes = keep_nodes
+        self.references = [program.run(batch, keep_nodes) for batch in batches]
+
+    def matches(self, result, index: int) -> bool:
+        """Whether a service result equals the serial reference, field by field."""
+        reference = self.references[index]
+        return all(
+            (got is None and want is None)
+            or (got is not None and want is not None and np.array_equal(got, want))
+            for got, want in zip(result, reference)
+        )
 
 
 def _build_families(engine: Engine, rng: np.random.Generator, n_batches: int):
     families: List[_Family] = []
 
-    def add(name, circuit, backend, widths, low=0, high=2):
+    def add(name, circuit, backend, widths, keep_nodes=False):
         program = engine.compile(circuit, backend=backend)
         key = (circuit.structural_hash(), backend)
         batches = [
-            rng.integers(low, high, size=(circuit.n_inputs, int(widths[i % len(widths)])))
+            rng.integers(0, 2, size=(circuit.n_inputs, int(widths[i % len(widths)])))
             for i in range(n_batches)
         ]
-        families.append(_Family(name, program, key, batches))
+        families.append(_Family(name, program, key, batches, keep_nodes))
 
     parity = _parity_circuit(6)
     # Mixed widths straddle the shm threshold of default_soak_config, so
-    # both transports (and the fallback between them) stay exercised.
-    add("parity6-sparse", parity, "sparse", widths=(5, 24, 96))
+    # both transports (and the fallback between them) stay exercised, for
+    # outputs-only results and for kept node values alike.
+    add("parity6-sparse-nodes", parity, "sparse", widths=(5, 24, 96), keep_nodes=True)
     add("parity6-dense", parity, "dense", widths=(8, 64))
     add("parity6-exact", parity, "exact", widths=(16,))
     trace = build_trace_circuit(2, 3, bit_width=1, depth_parameter=1)
@@ -269,7 +282,7 @@ def run_soak(
                 name = type(exc).__name__
                 report.failures[name] = report.failures.get(name, 0) + 1
             else:
-                if np.array_equal(result, family.references[index]):
+                if family.matches(result, index):
                     report.jobs_ok += 1
                 else:
                     report.drift += 1
@@ -300,6 +313,7 @@ def run_soak(
                 family.batches[index],
                 key=family.key,
                 timeout=job_timeout,
+                keep_nodes=family.keep_nodes,
             )
             pending.append((future, family, index))
             while len(pending) >= max_in_flight:

@@ -21,7 +21,7 @@ def evaluate_extraction(weights, values, n_bits=None):
     inputs = builder.allocate_inputs(len(weights))
     nodes = build_full_extraction(builder, list(zip(inputs, weights)), n_bits=n_bits)
     circuit = builder.build()
-    node_values = simulate(circuit, np.array(values)).node_values
+    node_values = simulate(circuit, np.array(values), keep_nodes=True).node_values
     out = 0
     for position, node in enumerate(nodes):
         if node is not None:
@@ -35,8 +35,8 @@ class TestKthMsb:
         (x,) = builder.allocate_inputs(1)
         node = build_kth_msb(builder, [(x, 1)], l=1, k=1)
         circuit = builder.build()
-        assert simulate(circuit, np.array([1])).node_values[node] == 1
-        assert simulate(circuit, np.array([0])).node_values[node] == 0
+        assert simulate(circuit, np.array([1]), keep_nodes=True).node_values[node] == 1
+        assert simulate(circuit, np.array([0]), keep_nodes=True).node_values[node] == 0
 
     def test_gate_count_matches_lemma(self):
         # Lemma 3.1: 2^k + 1 gates for the k-th most significant bit.
@@ -62,7 +62,7 @@ class TestKthMsb:
         for value in range(2 ** 7):
             assignment = np.array([(value >> i) & 1 for i in range(7)])
             popcount = int(assignment.sum())
-            node_values = simulate(circuit, assignment).node_values
+            node_values = simulate(circuit, assignment, keep_nodes=True).node_values
             recovered = sum(int(node_values[nodes[k]]) << (3 - k) for k in (1, 2, 3))
             assert recovered == popcount
 

@@ -34,7 +34,7 @@ class TestGeComparison:
         for assignment in range(2 ** 3):
             bits = np.array([(assignment >> i) & 1 for i in range(3)])
             actual = 3 * bits[0] + 2 * bits[1] - 4 * bits[2]
-            got = simulate(circuit, bits).node_values[gate]
+            got = simulate(circuit, bits, keep_nodes=True).node_values[gate]
             assert got == (1 if actual >= tau else 0)
 
     def test_empty_value_compares_zero(self):
@@ -63,7 +63,7 @@ class TestRangeMembership:
         for assignment in range(8):
             bits = np.array([(assignment >> i) & 1 for i in range(3)])
             total = int(bits[0] + 2 * bits[1] + 4 * bits[2])
-            got = simulate(circuit, bits).node_values[gate]
+            got = simulate(circuit, bits, keep_nodes=True).node_values[gate]
             assert got == (1 if 2 <= total < 5 else 0)
 
     def test_depth_two(self):

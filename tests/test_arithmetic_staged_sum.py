@@ -46,7 +46,7 @@ def run_staged(weights, values, stages):
     inputs = builder.allocate_inputs(len(weights))
     nodes = build_staged_extraction(builder, list(zip(inputs, weights)), stages)
     circuit = builder.build()
-    node_values = simulate(circuit, np.array(values)).node_values
+    node_values = simulate(circuit, np.array(values), keep_nodes=True).node_values
     got = sum((int(node_values[node]) << pos) for pos, node in enumerate(nodes) if node is not None)
     return got, builder
 
@@ -105,7 +105,7 @@ class TestStagedExtraction:
         builder = CircuitBuilder()
         inputs = builder.allocate_inputs(5)
         number = build_unsigned_sum(builder, list(zip(inputs, weights)), stages=2)
-        node_values = simulate(builder.build(), np.array(values)).node_values
+        node_values = simulate(builder.build(), np.array(values), keep_nodes=True).node_values
         assert number.value(node_values) == sum(w * v for w, v in zip(weights, values))
 
     @settings(max_examples=25, deadline=None)

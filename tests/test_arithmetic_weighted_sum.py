@@ -91,7 +91,7 @@ class TestSignedSum:
         items = [(h.to_signed_value(), w) for h, w in zip(handles, weights)]
         result = build_signed_sum(builder, items)
         circuit = builder.build()
-        node_values = simulate(circuit, assignment).node_values
+        node_values = simulate(circuit, assignment, keep_nodes=True).node_values
         expected = sum(v * w for v, w in zip(values, weights))
         assert result.value(node_values) == expected
 
@@ -129,5 +129,5 @@ class TestSignedSum:
         if circuit.size == 0:
             assert all(w == 0 for w in weights)
             return
-        node_values = simulate(circuit, assignment).node_values
+        node_values = simulate(circuit, assignment, keep_nodes=True).node_values
         assert result.value(node_values) == sum(v * w for v, w in zip(values, weights))

@@ -45,7 +45,7 @@ class TestFastPath:
         circuit = parity_circuit(5)
         for _ in range(20):
             bits = rng.integers(0, 2, size=5)
-            fast = simulate(circuit, bits).node_values
+            fast = simulate(circuit, bits, keep_nodes=True).node_values
             slow = circuit.evaluate_slow(list(bits))
             assert (fast == slow).all()
 
@@ -127,7 +127,7 @@ class TestRandomCircuitsAgainstSlowPath:
                 st.lists(st.integers(0, 1), min_size=n_inputs, max_size=n_inputs)
             )
         )
-        fast = simulate(circuit, inputs).node_values
+        fast = simulate(circuit, inputs, keep_nodes=True).node_values
         slow = circuit.evaluate_slow(list(inputs))
         assert (fast == slow).all()
 

@@ -156,9 +156,9 @@ class TestBulkAddGates:
         assert circuit.stats().max_abs_weight == huge
         plan = build_template_plan(circuit)
         assert not plan.int64_safe
-        values = simulate(circuit, np.asarray([1, 0]))
+        values = simulate(circuit, np.asarray([1, 0]), keep_nodes=True)
         assert values.node_values.tolist() == [1, 0, 1]  # huge*1 >= huge fires
-        values = simulate(circuit, np.asarray([0, 1]))
+        values = simulate(circuit, np.asarray([0, 1]), keep_nodes=True)
         assert values.node_values.tolist() == [0, 1, 0]
 
     def test_duplicate_merge_overflowing_int64_degrades_exactly(self):

@@ -11,7 +11,7 @@ module is the single place where all three are pinned against each other
 and against the gate-by-gate reference ``evaluate_slow``:
 
     {provenance kept, provenance stripped, loaded from JSON}
-        x {sparse, dense, exact}
+        x {sparse, dense, exact} x {outputs only, nodes kept}
 
 on every construction family (matmul / trace / direct / naive), on the
 corners the plan builder must handle (refused provenance, weights beyond
@@ -77,12 +77,23 @@ def _reference(circuit, inputs):
     )
 
 
+def assert_outputs_and_energy(result, circuit, reference, where):
+    """INV-12: a result's int8 outputs and int64 energy are those of the
+    reference node matrix."""
+    assert result.outputs.dtype == np.int8, where
+    assert np.array_equal(result.outputs, reference[circuit.outputs]), where
+    assert result.energy.dtype == np.int64, where
+    energy = reference[circuit.n_inputs :].sum(axis=0)
+    assert np.array_equal(result.energy, energy), where
+
+
 def assert_compile_equivalent(
     circuit, inputs=None, require_templates=False, backends=BACKENDS, loaded=True
 ):
     """Provenance kept, stripped and loaded x backends reproduce the
-    reference, bit for bit.  ``loaded=False`` leaves out the JSON round
-    trip, for circuits whose provenance a load refuses."""
+    reference, bit for bit, both as a kept node matrix and as an
+    outputs-only result (INV-12).  ``loaded=False`` leaves out the JSON
+    round trip, for circuits whose provenance a load refuses."""
     if inputs is None:
         inputs = _random_inputs(circuit)
     reference = _reference(circuit, inputs)
@@ -98,8 +109,9 @@ def assert_compile_equivalent(
     engines = {label: _engine() for label, _ in variants}
     for backend in backends:
         for label, variant in variants:
-            result = engines[label].evaluate(variant, inputs, backend=backend)
-            values = result.node_values
+            engine = engines[label]
+            kept = engine.evaluate(variant, inputs, backend=backend, keep_nodes=True)
+            values = kept.node_values
             assert values.shape == reference.shape
             mismatch = values != reference
             assert not mismatch.any(), (
@@ -107,8 +119,12 @@ def assert_compile_equivalent(
                 f"values differ from evaluate_slow (first at index "
                 f"{np.argwhere(mismatch)[0].tolist()})"
             )
-            energy = reference[circuit.n_inputs :].sum(axis=0)
-            assert (result.energy == energy).all(), (label, backend)
+            result = engine.evaluate(variant, inputs, backend=backend)
+            assert result.node_values.shape == (0, inputs.shape[1])
+            for shape, got in (("kept", kept), ("outputs-only", result)):
+                assert_outputs_and_energy(
+                    got, circuit, reference, (label, backend, shape)
+                )
 
 
 CONSTRUCTIONS = [
@@ -294,7 +310,7 @@ class TestPlanCorners:
         assert not plan.int64_safe and plan.covered_gates == 0
         inputs_block = _random_inputs(circuit, batch=8, seed=3)
         engine = _engine()
-        auto = engine.evaluate(circuit, inputs_block)
+        auto = engine.evaluate(circuit, inputs_block, keep_nodes=True)
         assert engine.compile(circuit).backend_name == "exact"
         assert (auto.node_values == _reference(circuit, inputs_block)).all()
         assert_compile_equivalent(circuit, inputs_block, backends=("exact",))
@@ -343,7 +359,8 @@ class TestOverflowTemplatePath:
         inputs = _random_inputs(circuit, batch=8, seed=5)
         reference = _reference(circuit, inputs)
         engine = _engine()
-        result = engine.evaluate(circuit, inputs)  # auto resolves to exact
+        # auto resolves to exact
+        result = engine.evaluate(circuit, inputs, keep_nodes=True)
         assert (result.node_values == reference).all()
         program = engine.compile(circuit)
         assert program.backend_name == "exact"
@@ -352,7 +369,9 @@ class TestOverflowTemplatePath:
                 engine.compile(circuit, backend=backend)
         loaded = _loaded(circuit)
         assert build_template_plan(loaded).covered_gates == circuit.size
-        assert (_engine().evaluate(loaded, inputs).node_values == reference).all()
+        assert (
+            _engine().evaluate(loaded, inputs, keep_nodes=True).node_values == reference
+        ).all()
 
 
 # --------------------------------------------------------------------------- #
@@ -647,7 +666,9 @@ class TestLevelSchedule:
         # The level-1 group has 8 stamps over two node runs (6 + 2).  Batch
         # widths under a budget of 504 columns of locals put the chunk size
         # at 1 stamp, one short of the group (a chunk straddles the runs,
-        # then a one-stamp chunk), the whole group, and one past it.
+        # then a one-stamp chunk), the whole group, and one past it.  Each
+        # chunk's energy folds by batch column, so both result shapes must
+        # match evaluate_slow.
         import repro.engine.backends as backends
 
         circuit = _level_circuit()
@@ -660,12 +681,19 @@ class TestLevelSchedule:
         size = {"one": 1, "group-1": stamps - 1, "group": stamps, "group+1": stamps + 1}
         batch = columns // size[step]
         budget = n_locals * itemsize * columns
-        monkeypatch.setattr(backends, "_STAMP_CHUNK_BYTES", budget)
+        # This node buffer is far below 32 budgets, so the chunk budget is
+        # its floor: a quarter of _STAMP_CHUNK_BYTES.
+        assert circuit.n_nodes * batch * itemsize < 32 * budget
+        monkeypatch.setattr(backends, "_STAMP_CHUNK_BYTES", 4 * budget)
         inputs = _random_inputs(circuit, batch=batch, seed=batch)
         reference = _reference(circuit, inputs)
         for variant in (circuit, _stripped(circuit)):
-            result = _engine().evaluate(variant, inputs, backend=backend)
-            assert (result.node_values == reference).all(), (backend, step)
+            engine = _engine()
+            kept = engine.evaluate(variant, inputs, backend=backend, keep_nodes=True)
+            assert (kept.node_values == reference).all(), (backend, step)
+            result = engine.evaluate(variant, inputs, backend=backend)
+            for got in (kept, result):
+                assert_outputs_and_energy(got, circuit, reference, (backend, step))
 
     def test_one_product_per_template_layer_per_group(self, monkeypatch):
         # A kept naive n=8 run issues one product per template layer of each
@@ -694,10 +722,12 @@ class TestLevelSchedule:
         monkeypatch.setattr(backends, "_layer_sums", counted)
         program = _engine().compile(circuit, backend="sparse")
         inputs = _random_inputs(circuit, batch=8, seed=8)
-        result = program.run(inputs)
+        result = program.run(inputs, keep_nodes=True)
         assert len(calls) == expected and set(calls) == {1}
-        reference = Engine().evaluate(_stripped(circuit), inputs, backend="sparse")
-        assert (result == reference.node_values).all()
+        reference = Engine().evaluate(
+            _stripped(circuit), inputs, backend="sparse", keep_nodes=True
+        )
+        assert (result.nodes == reference.node_values).all()
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -715,3 +745,79 @@ class TestLevelSchedule:
             assert_compile_equivalent(circuit, inputs)
         finally:
             backends._STAMP_CHUNK_BYTES = saved
+
+
+# --------------------------------------------------------------------------- #
+# INV-12: the outputs-only result of every entry point equals the outputs and
+# energy of the kept node matrix and of evaluate_slow, across the column
+# chunks a run budget cuts and on degenerate batches.
+class TestOutputsOnlyRun:
+    @pytest.fixture(scope="class")
+    def circuit(self):
+        return build_trace_circuit(2, 3, bit_width=1, depth_parameter=1).circuit
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["width-1", "width", "width+1"])
+    def test_run_chunk_boundaries(self, monkeypatch, circuit, backend, offset):
+        # A run budget of 5 columns makes every batch wider than 5 run in
+        # column chunks that each return their outputs and energy.
+        import repro.engine.backends as backends
+
+        engine = _engine()
+        program = engine.compile(circuit, backend=backend)
+        column = circuit.n_nodes * np.dtype(program.values_dtype).itemsize
+        monkeypatch.setattr(backends, "_RUN_BUFFER_BYTES", 5 * column)
+        assert backends.run_chunk_width(program, 2048) == 5
+        for batch in (5 + offset, 2 * 5 + offset):
+            inputs = _random_inputs(circuit, batch=batch, seed=batch)
+            reference = _reference(circuit, inputs)
+            kept = engine.evaluate(circuit, inputs, backend=backend, keep_nodes=True)
+            assert (kept.node_values == reference).all(), (backend, batch)
+            result = engine.evaluate(circuit, inputs, backend=backend)
+            assert result.node_values.shape == (0, batch)
+            for got in (kept, result):
+                assert_outputs_and_energy(got, circuit, reference, (backend, batch))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_zero_width_and_one_dim_inputs(self, circuit, backend):
+        engine = _engine()
+        empty = np.zeros((circuit.n_inputs, 0), dtype=np.int64)
+        for keep_nodes in (False, True):
+            result = engine.evaluate(circuit, empty, backend=backend, keep_nodes=keep_nodes)
+            rows = circuit.n_nodes if keep_nodes else 0
+            assert result.node_values.shape == (rows, 0)
+            assert result.outputs.shape == (len(circuit.outputs), 0)
+            assert result.energy.shape == (0,) and result.energy.dtype == np.int64
+        vector = _random_inputs(circuit, batch=1, seed=1)[:, 0]
+        reference = circuit.evaluate_slow(list(vector))
+        kept = engine.evaluate(circuit, vector, backend=backend, keep_nodes=True)
+        result = engine.evaluate(circuit, vector, backend=backend)
+        assert (kept.node_values == reference).all()
+        assert result.node_values.shape == (0,)
+        for got in (kept, result):
+            assert (got.outputs == reference[circuit.outputs]).all(), backend
+            assert got.energy == reference[circuit.n_inputs :].sum(), backend
+
+    def test_program_run_folds_stamp_columns_by_batch_column(self):
+        # Direct program runs at a batch of 3 with a 1-stamp chunk budget:
+        # every template group spans several stamp chunks, and a stamp's
+        # column i * 3 + b must count toward batch column b.
+        import repro.engine.backends as backends
+
+        circuit = _level_circuit()
+        inputs = _all_inputs(circuit.n_inputs)[:, [0, 5, 15]]
+        reference = _reference(circuit, inputs)
+        saved = backends._STAMP_CHUNK_BYTES
+        for budget in (1, 1 << 20):
+            backends._STAMP_CHUNK_BYTES = budget
+            try:
+                for backend in BACKENDS:
+                    program = _engine().compile(circuit, backend=backend)
+                    outputs, energy, nodes = program.run(inputs)
+                    assert nodes is None
+                    kept = program.run(inputs, keep_nodes=True)
+                    assert (kept.nodes == reference).all(), backend
+                    for got in (kept, backends.RunResult(outputs, energy)):
+                        assert_outputs_and_energy(got, circuit, reference, backend)
+            finally:
+                backends._STAMP_CHUNK_BYTES = saved

@@ -50,7 +50,7 @@ class TestLeafBuilder:
         circuit = builder.build()
 
         matrix = rng.integers(-3, 4, (n, n))
-        node_values = simulate(circuit, encoding.encode(matrix)).node_values
+        node_values = simulate(circuit, encoding.encode(matrix), keep_nodes=True).node_values
         for path in iter_paths(strassen.r, 2):
             expected = leaf_oracle(strassen, side, matrix, path)
             leaf = leaves[path].signed_value(0)
@@ -91,7 +91,7 @@ class TestProductStage:
         a = rng.integers(-3, 4, (n, n))
         b = rng.integers(-3, 4, (n, n))
         inputs = np.concatenate([enc_a.encode(a), enc_b.encode(b)])
-        node_values = simulate(circuit, inputs).node_values
+        node_values = simulate(circuit, inputs, keep_nodes=True).node_values
         for path in iter_paths(strassen.r, 1):
             expected = leaf_oracle(strassen, "A", a, path) * leaf_oracle(strassen, "B", b, path)
             assert products[path].signed_value(0).value(node_values) == expected
@@ -140,7 +140,7 @@ class TestRecombination:
         a = rng.integers(0, 2, (n, n))
         b = rng.integers(0, 2, (n, n))
         inputs = np.concatenate([enc_a.encode(a), enc_b.encode(b)])
-        node_values = simulate(circuit, inputs).node_values
+        node_values = simulate(circuit, inputs, keep_nodes=True).node_values
         expected = a.astype(object) @ b.astype(object)
         for i in range(n):
             for j in range(n):
@@ -171,8 +171,10 @@ class TestRecombination:
         circuit = builder.build()
         a = rng.integers(0, 2, (n, n))
         b = rng.integers(0, 2, (n, n))
-        node_values = simulate(circuit, 
-            np.concatenate([enc_a.encode(a), enc_b.encode(b)])
+        node_values = simulate(
+            circuit,
+            np.concatenate([enc_a.encode(a), enc_b.encode(b)]),
+            keep_nodes=True,
         ).node_values
         expected = a.astype(object) @ b.astype(object)
         assert all(

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from run_results import same_run
 
 from repro.circuits.builder import CircuitBuilder
 from repro.engine import (
@@ -82,10 +83,10 @@ class TestSpillRestore:
         assert restored is not None
         assert type(restored) is type(program)
         batch = rng.integers(0, 2, size=(40, 17))
-        fresh = program.run(batch)
-        again = restored.run(batch)
-        assert fresh.dtype == again.dtype
-        assert np.array_equal(fresh, again)
+        for keep_nodes in (False, True):
+            fresh = program.run(batch, keep_nodes)
+            again = restored.run(batch, keep_nodes)
+            assert same_run(again, fresh)
 
     def test_put_existing_key_is_a_noop(self, store):
         circuit = parity_circuit(5)
@@ -218,7 +219,7 @@ class TestCrashSafety:
         assert store.stats().tmp_dirs == 0
         restored = store.get(key_hash, "sparse")
         batch = rng.integers(0, 2, size=(40, 9))
-        assert np.array_equal(restored.run(batch), program.run(batch))
+        assert same_run(restored.run(batch), program.run(batch))
 
     def test_kill_during_write_leaves_only_tmp_litter(self, tmp_path):
         directory = str(tmp_path / "artifacts")
@@ -306,12 +307,16 @@ class TestEngineIntegration:
     def test_cold_start_restores_without_compiling(self, tmp_path, rng, backend):
         batch = rng.integers(0, 2, size=(8, 13))
         with Engine(self._config(tmp_path, backend)) as warm:
-            expected = warm.evaluate(parity_circuit(8), batch).node_values
+            expected = warm.evaluate(
+                parity_circuit(8), batch, keep_nodes=True
+            ).node_values
             assert warm.compile_calls == 1
         # A brand-new engine process-equivalent: empty memory cache, same
         # artifact directory.  The compile must come off disk.
         with Engine(self._config(tmp_path, backend)) as cold:
-            result = cold.evaluate(parity_circuit(8), batch).node_values
+            result = cold.evaluate(
+                parity_circuit(8), batch, keep_nodes=True
+            ).node_values
             assert cold.compile_calls == 0
             info = cold.cache_info()
             assert info.disk_hits == 1
@@ -346,7 +351,7 @@ class TestEngineIntegration:
             # ... and the recompile republished a good artifact.
             restored = cold.artifact_store.get(circuit.structural_hash(), "sparse")
             batch = rng.integers(0, 2, size=(6, 7))
-            assert np.array_equal(restored.run(batch), program.run(batch))
+            assert same_run(restored.run(batch), program.run(batch))
 
     def test_compile_entry_exposes_the_disk_key(self, tmp_path):
         circuit = parity_circuit(6)

@@ -1,9 +1,9 @@
 """Tests for the execution engine: backends, cache, scheduler, spiking mode.
 
 The central invariant is cross-backend equivalence: every backend must
-produce bit-identical ``node_values`` / ``outputs`` / ``energy`` to the
-gate-by-gate reference ``ThresholdCircuit.evaluate_slow`` on any circuit and
-any batch.  The Hypothesis properties below randomize both.
+produce bit-identical ``outputs`` / ``energy`` (and, kept, ``node_values``)
+to the gate-by-gate reference ``ThresholdCircuit.evaluate_slow`` on any
+circuit and any batch.  The Hypothesis properties below randomize both.
 """
 
 import copy
@@ -110,10 +110,14 @@ class TestCrossBackendEquivalence:
         engine = Engine()
         for backend in BACKENDS:
             result = engine.evaluate(circuit, batch, backend=backend)
-            assert (result.node_values == expected_nodes).all(), backend
-            assert (result.energy == expected_energy).all(), backend
-            if circuit.outputs:
-                assert (result.outputs == expected_nodes[circuit.outputs, :]).all(), backend
+            kept = engine.evaluate(circuit, batch, backend=backend, keep_nodes=True)
+            assert result.node_values.shape == (0, batch_width), backend
+            assert np.array_equal(kept.node_values, expected_nodes), backend
+            for got in (result, kept):
+                assert np.array_equal(got.energy, expected_energy), backend
+                assert np.array_equal(
+                    got.outputs, expected_nodes[circuit.outputs, :]
+                ), backend
 
     @settings(max_examples=15, deadline=None)
     @given(st.data())
@@ -131,7 +135,7 @@ class TestCrossBackendEquivalence:
             )
         )
         engine = Engine()
-        result = engine.evaluate(circuit, batch, backend="exact")
+        result = engine.evaluate(circuit, batch, backend="exact", keep_nodes=True)
         assert (result.node_values == slow_reference(circuit, batch)).all()
 
     @pytest.mark.parametrize(
@@ -175,8 +179,11 @@ class TestCrossBackendEquivalence:
         expected = slow_reference(circuit, batch)
         engine = Engine()
         for backend in BACKENDS:
-            result = engine.evaluate(circuit, batch, backend=backend)
+            result = engine.evaluate(circuit, batch, backend=backend, keep_nodes=True)
             assert (result.node_values == expected).all(), backend
+            outputs_only = engine.evaluate(circuit, batch, backend=backend)
+            assert np.array_equal(outputs_only.outputs, expected[circuit.outputs])
+            assert np.array_equal(outputs_only.energy, result.energy)
         for backend in ("sparse", "dense"):
             program = engine.compile(circuit, backend=backend)
             assert np.dtype(program.values_dtype).name == lane, backend
@@ -198,18 +205,26 @@ class TestCrossBackendEquivalence:
         engine = Engine()
         for _ in range(10):
             bits = rng.integers(0, 2, size=5)
-            mine = engine.evaluate(circuit, bits)
+            mine = engine.evaluate(circuit, bits, keep_nodes=True)
             expected = circuit.evaluate_slow(list(bits))
             assert mine.node_values.shape == expected.shape
             assert (mine.node_values == expected).all()
             assert mine.energy == expected[circuit.n_inputs :].sum()
+            outputs_only = engine.evaluate(circuit, bits)
+            assert outputs_only.node_values.shape == (0,)
+            assert (outputs_only.outputs == expected[circuit.outputs]).all()
+            assert outputs_only.energy == mine.energy
 
     def test_empty_batch(self):
         circuit = parity_circuit(3)
         engine = Engine()
         result = engine.evaluate(circuit, np.zeros((3, 0), dtype=np.int64))
-        assert result.node_values.shape == (circuit.n_nodes, 0)
+        assert result.node_values.shape == (0, 0)
         assert result.energy.shape == (0,)
+        kept = engine.evaluate(
+            circuit, np.zeros((3, 0), dtype=np.int64), keep_nodes=True
+        )
+        assert kept.node_values.shape == (circuit.n_nodes, 0)
 
 
 class TestCompileCache:
@@ -398,7 +413,7 @@ class TestTemplateCacheAliasing:
         fresh_a = engine.compile(circuit_a)
         assert engine.compile_calls == 3
         assert fresh_a.n_nodes == circuit_a.n_nodes
-        values = fresh_a.run(inputs_a)
+        values = fresh_a.run(inputs_a, keep_nodes=True).nodes
         expected = circuit_a.evaluate_slow(list(inputs_a[:, 0]))
         assert (values[:, 0] == expected).all()
 
@@ -411,8 +426,8 @@ class TestTemplateCacheAliasing:
         stripped.template_blocks = []
         inputs = np.ones((circuit.n_inputs, 2), dtype=np.int64)
         inputs[::2, 1] = 0
-        with_templates = self._engine().evaluate(circuit, inputs)
-        without = self._engine().evaluate(stripped, inputs)
+        with_templates = self._engine().evaluate(circuit, inputs, keep_nodes=True)
+        without = self._engine().evaluate(stripped, inputs, keep_nodes=True)
         assert (with_templates.node_values == without.node_values).all()
         assert (with_templates.energy == without.energy).all()
 
@@ -497,22 +512,30 @@ class TestScheduler:
     def test_chunked_matches_unchunked(self, rng):
         circuit = parity_circuit(6)
         batch = rng.integers(0, 2, size=(6, 37))
-        whole = Engine(EngineConfig(chunk_size=64)).evaluate(circuit, batch)
-        chunked = Engine(EngineConfig(chunk_size=5)).evaluate(circuit, batch)
-        tiny = Engine(EngineConfig(chunk_size=1)).evaluate(circuit, batch)
-        assert (chunked.node_values == whole.node_values).all()
-        assert (tiny.node_values == whole.node_values).all()
-        assert (chunked.energy == whole.energy).all()
+        whole = Engine(EngineConfig(chunk_size=64)).evaluate(
+            circuit, batch, keep_nodes=True
+        )
+        for chunk_size in (5, 1):
+            engine = Engine(EngineConfig(chunk_size=chunk_size))
+            chunked = engine.evaluate(circuit, batch, keep_nodes=True)
+            assert (chunked.node_values == whole.node_values).all()
+            assert (chunked.outputs == whole.outputs).all()
+            assert (chunked.energy == whole.energy).all()
+            outputs_only = engine.evaluate(circuit, batch)
+            assert (outputs_only.outputs == whole.outputs).all()
+            assert (outputs_only.energy == whole.energy).all()
 
     def test_parallel_matches_serial(self, rng):
         circuit = parity_circuit(6)
         batch = rng.integers(0, 2, size=(6, 48))
-        serial = Engine().evaluate(circuit, batch)
-        parallel = Engine(
-            EngineConfig(chunk_size=8, max_workers=2, parallel_threshold=16)
-        ).evaluate(circuit, batch)
-        assert (parallel.node_values == serial.node_values).all()
-        assert (parallel.energy == serial.energy).all()
+        serial = Engine().evaluate(circuit, batch, keep_nodes=True)
+        config = EngineConfig(chunk_size=8, max_workers=2, parallel_threshold=16)
+        for keep_nodes in (False, True):
+            parallel = Engine(config).evaluate(circuit, batch, keep_nodes=keep_nodes)
+            if keep_nodes:
+                assert (parallel.node_values == serial.node_values).all()
+            assert (parallel.outputs == serial.outputs).all()
+            assert (parallel.energy == serial.energy).all()
 
     def test_workers_narrow_chunk_width(self, rng):
         # With workers requested, the scheduler must shard even when the
@@ -522,7 +545,7 @@ class TestScheduler:
         config = EngineConfig(chunk_size=2048, max_workers=2, parallel_threshold=1)
         sharded = Engine(config).evaluate(circuit, batch)
         serial = Engine().evaluate(circuit, batch)
-        assert (sharded.node_values == serial.node_values).all()
+        assert (sharded.outputs == serial.outputs).all()
         assert (sharded.energy == serial.energy).all()
 
     def test_pool_gated_behind_threshold(self, rng):
@@ -531,16 +554,24 @@ class TestScheduler:
         circuit = parity_circuit(4)
         batch = rng.integers(0, 2, size=(4, 8))
         config = EngineConfig(chunk_size=2, max_workers=4, parallel_threshold=1000)
-        result = Engine(config).evaluate(circuit, batch)
-        assert (result.node_values == Engine().evaluate(circuit, batch).node_values).all()
+        result = Engine(config).evaluate(circuit, batch, keep_nodes=True)
+        serial = Engine().evaluate(circuit, batch, keep_nodes=True)
+        assert (result.node_values == serial.node_values).all()
 
     def test_evaluate_batched_direct(self, rng):
         circuit = parity_circuit(5)
         engine = Engine()
         program = engine.compile(circuit, backend="sparse")
         batch = rng.integers(0, 2, size=(5, 13))
-        node_values = evaluate_batched(program, batch, EngineConfig(chunk_size=4))
-        assert (node_values == slow_reference(circuit, batch)).all()
+        expected = slow_reference(circuit, batch)
+        config = EngineConfig(chunk_size=4)
+        kept = evaluate_batched(program, batch, config, keep_nodes=True)
+        assert (kept.nodes == expected).all()
+        outputs, energy, nodes = evaluate_batched(program, batch, config)
+        assert nodes is None
+        assert (outputs == expected[circuit.outputs]).all()
+        assert (energy == expected[circuit.n_inputs :].sum(axis=0)).all()
+        assert (kept.outputs == outputs).all() and (kept.energy == energy).all()
 
 
 class TestSpikingMode:
@@ -549,7 +580,7 @@ class TestSpikingMode:
         batch = rng.integers(0, 2, size=(6, 20))
         engine = Engine()
         trace = engine.spike_trace(circuit, batch)
-        result = engine.evaluate(circuit, batch)
+        result = engine.evaluate(circuit, batch, keep_nodes=True)
         assert (trace.energy == result.energy).all()
         assert (trace.spikes_per_layer.sum(axis=0) == result.energy).all()
         assert trace.batch == 20
@@ -591,7 +622,9 @@ class TestSpikingMode:
         circuit = parity_circuit(5)
         batch = rng.integers(0, 2, size=(5, 7))
         plan = ActivityPlan.from_circuit(circuit)
-        node_values = Engine().evaluate(circuit, batch, backend="exact").node_values
+        node_values = Engine().evaluate(
+            circuit, batch, backend="exact", keep_nodes=True
+        ).node_values
         trace = compute_spike_trace(plan, node_values)
         assert (trace.energy == Engine().evaluate(circuit, batch).energy).all()
         with pytest.raises(ValueError):
@@ -629,8 +662,9 @@ class TestRunMemory:
         # (wires, batch) temporary.  The trace circuit's last residual layer
         # is one gate over 78,464 wires against 119,465 nodes, so a per-wire
         # gather alone would cost two thirds of the node buffer.  Its plan
-        # runs in the float32 lane: a 4-byte node buffer plus the int8
-        # result is 0.625 of an int64 buffer.
+        # runs in the float32 lane, so the node buffer is 0.5 of an int64
+        # buffer; an outputs-only run adds no int8 copy of it, and a stamp
+        # chunk with its layer sums stays within _STAMP_CHUNK_BYTES.
         import tracemalloc
 
         batch = 16
@@ -646,7 +680,65 @@ class TestRunMemory:
         finally:
             tracemalloc.stop()
         int64_buffer = trace8.n_nodes * batch * 8
-        assert peak <= 0.75 * int64_buffer, peak / int64_buffer
+        assert peak <= 0.55 * int64_buffer, peak / int64_buffer
+
+
+class TestRunBufferBudget:
+    def test_wide_batch_runs_in_budgeted_chunks(self, monkeypatch):
+        # With the run-buffer budget patched to 64 columns of trace n=4's
+        # float32 node buffer, a batch of 4096 runs as 64 chunks of 64
+        # columns, and the whole evaluation holds one chunk's buffer plus
+        # the batch's outputs and energy (and a fixed slack for one stamp
+        # chunk and the input check), not a 2048-column buffer.
+        import tracemalloc
+
+        from repro.core.trace_circuit import build_trace_circuit
+        from repro.engine import backends
+
+        circuit = build_trace_circuit(4, 10, bit_width=1).circuit
+        engine = Engine()
+        program = engine.compile(circuit)
+        assert program.values_dtype == np.float32
+        budget = 64 * circuit.n_nodes * 4
+        monkeypatch.setattr(backends, "_RUN_BUFFER_BYTES", budget)
+        assert backends.run_chunk_width(program, 2048) == 64
+        widths = []
+        run = type(program).run
+
+        def counted(self, inputs, keep_nodes=False):
+            widths.append(inputs.shape[1])
+            return run(self, inputs, keep_nodes)
+
+        monkeypatch.setattr(type(program), "run", counted)
+        batch = 4096
+        inputs = np.random.default_rng(0).integers(
+            0, 2, size=(circuit.n_inputs, batch)
+        ).astype(np.int8)
+        tracemalloc.start()
+        try:
+            result = engine.evaluate(circuit, inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert widths == [64] * 64
+        held = batch * (len(circuit.outputs) + 8)
+        assert peak <= budget + held + (1 << 20), (peak, budget)
+        monkeypatch.setattr(type(program), "run", run)
+        whole = Engine().evaluate(circuit, inputs[:, :256], keep_nodes=True)
+        assert (result.outputs[:, :256] == whole.outputs).all()
+        assert (result.energy[:256] == whole.energy).all()
+
+    def test_width_rule(self, monkeypatch):
+        from repro.engine import backends
+
+        program = Engine().compile(parity_circuit(4))
+        column = program.n_nodes * np.dtype(program.values_dtype).itemsize
+        assert backends.run_chunk_width(program, 2048) == 2048
+        monkeypatch.setattr(backends, "_RUN_BUFFER_BYTES", 5 * column + 1)
+        assert backends.run_chunk_width(program, 2048) == 5
+        assert backends.run_chunk_width(program, 3) == 3
+        monkeypatch.setattr(backends, "_RUN_BUFFER_BYTES", 1)
+        assert backends.run_chunk_width(program, 2048) == 1
 
 
 class TestDenseBudget:
@@ -701,15 +793,20 @@ class TestZeroWidthBatches:
         circuit = parity_circuit(4)
         engine = Engine()
         result = engine.evaluate(circuit, np.zeros((4, 0), dtype=np.int8))
-        assert result.node_values.shape == (circuit.n_nodes, 0)
+        assert result.node_values.shape == (0, 0)
         assert result.node_values.dtype == np.int8
-        assert result.outputs.shape[-1] == 0
+        assert result.outputs.shape == (1, 0)
+        kept = engine.evaluate(circuit, np.zeros((4, 0), dtype=np.int8), keep_nodes=True)
+        assert kept.node_values.shape == (circuit.n_nodes, 0)
+        assert kept.node_values.dtype == np.int8
 
     def test_evaluate_batched_zero_width_all_backends(self):
         circuit = parity_circuit(3)
         for backend in BACKENDS:
             engine = Engine(EngineConfig(backend=backend))
-            result = engine.evaluate(circuit, np.zeros((3, 0), dtype=np.int8))
+            result = engine.evaluate(
+                circuit, np.zeros((3, 0), dtype=np.int8), keep_nodes=True
+            )
             assert result.node_values.shape == (circuit.n_nodes, 0)
 
     def test_trace_evaluate_batch_empty(self):

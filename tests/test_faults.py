@@ -4,7 +4,9 @@ Every test here follows the same shape: activate a :class:`FaultPlan`
 through ``EngineConfig(fault_plan=...)``, push real work through a resident
 service, and require *bit-identical* results plus the expected recovery
 counters — faults may cost retries, respawns, transport downgrades, or
-degradation, never bytes.
+degradation, never bytes.  Where a fault reassembles a result (duplicate
+executions, the shm-to-pickle conversion, degraded mode), both result
+shapes are checked against ``evaluate_slow`` (INV-12).
 """
 
 import os
@@ -19,6 +21,7 @@ from repro.engine import (
     EngineConfig,
     EvaluationService,
     FaultPlan,
+    RunResult,
     ServiceClosed,
     aggressive_plan,
     fault_plan_from_env,
@@ -26,7 +29,8 @@ from repro.engine import (
 )
 from repro.engine.faults import FAULTS_ENV_VAR
 
-from test_service import parity_circuit, service_config
+from run_results import same_run
+from test_service import parity_circuit, service_config, slow_reference
 
 
 @pytest.fixture
@@ -37,6 +41,15 @@ def rng():
 @pytest.fixture
 def compiled():
     return Engine().compile(parity_circuit(6), backend="sparse")
+
+
+def slow_run(batch, keep_nodes):
+    """INV-12's reference: the outputs and energy of ``evaluate_slow`` on the
+    ``compiled`` circuit, plus its node values when they are kept."""
+    circuit = parity_circuit(6)
+    nodes = slow_reference(circuit, batch).astype(np.int8)
+    energy = nodes[circuit.n_inputs :].sum(axis=0, dtype=np.int64)
+    return RunResult(nodes[circuit.outputs], energy, nodes if keep_nodes else None)
 
 
 def fast_recovery_config(**overrides):
@@ -103,18 +116,19 @@ class TestWorkerKills:
         with EvaluationService(config) as service:
             result = service.evaluate(compiled, batch)
             stats = service.stats()
-        assert np.array_equal(result, compiled.run(batch))
+        assert same_run(result, compiled.run(batch))
         assert stats.worker_restarts >= 1
 
-    def test_kill_after_task_recovers_bit_identically(self, compiled, rng):
+    @pytest.mark.parametrize("keep_nodes", [False, True])
+    def test_kill_after_task_recovers_bit_identically(self, compiled, rng, keep_nodes):
         # The worker computes the chunk, then dies before reporting — the
         # duplicate execution after re-dispatch must be invisible.
         config = fast_recovery_config(fault_plan=FaultPlan(kill_after_task=2))
         batch = rng.integers(0, 2, size=(6, 32))
         with EvaluationService(config) as service:
-            result = service.evaluate(compiled, batch)
+            result = service.evaluate(compiled, batch, keep_nodes=keep_nodes)
             stats = service.stats()
-        assert np.array_equal(result, compiled.run(batch))
+        assert same_run(result, slow_run(batch, keep_nodes))
         assert stats.worker_restarts >= 1
         assert stats.retries >= 1
 
@@ -130,7 +144,7 @@ class TestWorkerKills:
         with EvaluationService(config) as service:
             result = service.evaluate(compiled, batch)
             stats = service.stats()
-        assert np.array_equal(result, compiled.run(batch))
+        assert same_run(result, compiled.run(batch))
         assert stats.shm_jobs >= 1
         assert stats.worker_restarts >= 1
         deadline = time.monotonic() + 5.0
@@ -143,13 +157,14 @@ class TestWorkerKills:
 
 
 class TestLostAndCorruptedMessages:
-    def test_dropped_results_are_redispatched(self, compiled, rng):
+    @pytest.mark.parametrize("keep_nodes", [False, True])
+    def test_dropped_results_are_redispatched(self, compiled, rng, keep_nodes):
         config = fast_recovery_config(fault_plan=FaultPlan(drop_result_tasks=(1,)))
         batch = rng.integers(0, 2, size=(6, 24))
         with EvaluationService(config) as service:
-            result = service.evaluate(compiled, batch)
+            result = service.evaluate(compiled, batch, keep_nodes=keep_nodes)
             stats = service.stats()
-        assert np.array_equal(result, compiled.run(batch))
+        assert same_run(result, slow_run(batch, keep_nodes))
         assert stats.retries >= 1
 
     def test_corrupt_result_message_does_not_kill_dispatcher(self, compiled, rng):
@@ -163,8 +178,8 @@ class TestLostAndCorruptedMessages:
             second = service.evaluate(compiled, batch)
             stats = service.stats()
         expected = compiled.run(batch)
-        assert np.array_equal(first, expected)
-        assert np.array_equal(second, expected)
+        assert same_run(first, expected)
+        assert same_run(second, expected)
         assert stats.protocol_errors >= 1
 
     def test_dropped_dispatch_is_retried(self, compiled, rng):
@@ -173,7 +188,7 @@ class TestLostAndCorruptedMessages:
         with EvaluationService(config) as service:
             result = service.evaluate(compiled, batch)
             stats = service.stats()
-        assert np.array_equal(result, compiled.run(batch))
+        assert same_run(result, compiled.run(batch))
         assert stats.retries >= 1
 
     def test_delayed_results_change_nothing(self, compiled, rng):
@@ -181,7 +196,7 @@ class TestLostAndCorruptedMessages:
         batch = rng.integers(0, 2, size=(6, 16))
         with EvaluationService(config) as service:
             result = service.evaluate(compiled, batch)
-        assert np.array_equal(result, compiled.run(batch))
+        assert same_run(result, compiled.run(batch))
 
 
 class TestStallsAndDeadlines:
@@ -196,7 +211,7 @@ class TestStallsAndDeadlines:
         with EvaluationService(config) as service:
             result = service.evaluate(compiled, batch)
             stats = service.stats()
-        assert np.array_equal(result, compiled.run(batch))
+        assert same_run(result, compiled.run(batch))
         assert stats.stall_kills >= 1
 
     def test_sub_threshold_stall_is_just_slow(self, compiled, rng):
@@ -208,7 +223,7 @@ class TestStallsAndDeadlines:
         with EvaluationService(config) as service:
             result = service.evaluate(compiled, batch)
             stats = service.stats()
-        assert np.array_equal(result, compiled.run(batch))
+        assert same_run(result, compiled.run(batch))
         assert stats.stall_kills == 0
         assert stats.worker_restarts == 0
 
@@ -227,7 +242,7 @@ class TestStallsAndDeadlines:
         batch = rng.integers(0, 2, size=(6, 12))
         with EvaluationService(fast_recovery_config()) as service:
             result = service.evaluate(compiled, batch, timeout=30.0)
-        assert np.array_equal(result, compiled.run(batch))
+        assert same_run(result, compiled.run(batch))
 
     def test_submit_rejects_non_positive_timeout(self, compiled, rng):
         batch = rng.integers(0, 2, size=(6, 4))
@@ -239,12 +254,20 @@ class TestStallsAndDeadlines:
         batch = rng.integers(0, 2, size=(6, 64))
         with pytest.raises(DeadlineExceeded):
             run_serial(compiled, batch, chunk_size=4, deadline=time.monotonic() - 1.0)
-        result = run_serial(compiled, batch, chunk_size=4, deadline=time.monotonic() + 60.0)
-        assert np.array_equal(result, compiled.run(batch))
+        for keep_nodes in (False, True):
+            result = run_serial(
+                compiled,
+                batch,
+                chunk_size=4,
+                keep_nodes=keep_nodes,
+                deadline=time.monotonic() + 60.0,
+            )
+            assert same_run(result, slow_run(batch, keep_nodes))
 
 
 class TestTransportAndInstallFaults:
-    def test_shm_attach_failures_fall_back_to_pickle(self, compiled, rng):
+    @pytest.mark.parametrize("keep_nodes", [False, True])
+    def test_shm_attach_failures_fall_back_to_pickle(self, compiled, rng, keep_nodes):
         # One worker whose every attach fails: the first failure of a task is
         # retried as-is (may be transient), its second failure converts the
         # whole job to pickle transport, which then completes.  (With spare
@@ -257,9 +280,9 @@ class TestTransportAndInstallFaults:
         )
         batch = rng.integers(0, 2, size=(6, 64))
         with EvaluationService(config) as service:
-            result = service.evaluate(compiled, batch)
+            result = service.evaluate(compiled, batch, keep_nodes=keep_nodes)
             stats = service.stats()
-        assert np.array_equal(result, compiled.run(batch))
+        assert same_run(result, slow_run(batch, keep_nodes))
         assert stats.shm_jobs >= 1
         assert stats.shm_fallbacks >= 1
 
@@ -269,7 +292,7 @@ class TestTransportAndInstallFaults:
         with EvaluationService(config) as service:
             result = service.evaluate(compiled, batch)
             stats = service.stats()
-        assert np.array_equal(result, compiled.run(batch))
+        assert same_run(result, compiled.run(batch))
         assert stats.reinstalls >= 1
 
     def test_plan_activates_from_environment(self, compiled, rng, monkeypatch):
@@ -279,12 +302,13 @@ class TestTransportAndInstallFaults:
         with EvaluationService(fast_recovery_config()) as service:
             result = service.evaluate(compiled, batch)
             stats = service.stats()
-        assert np.array_equal(result, compiled.run(batch))
+        assert same_run(result, compiled.run(batch))
         assert stats.reinstalls >= 1
 
 
 class TestDegradation:
-    def test_degraded_mode_still_bit_identical(self, compiled, rng):
+    @pytest.mark.parametrize("keep_nodes", [False, True])
+    def test_degraded_mode_still_bit_identical(self, compiled, rng, keep_nodes):
         # Every worker dies before executing anything and the respawn budget
         # is zero, so both slots retire immediately and the service must fall
         # back to in-process serial execution — same bytes, zero workers.
@@ -294,20 +318,21 @@ class TestDegradation:
         )
         batch = rng.integers(0, 2, size=(6, 24))
         with EvaluationService(config) as service:
-            result = service.evaluate(compiled, batch)
+            result = service.evaluate(compiled, batch, keep_nodes=keep_nodes)
             stats = service.stats()
             # Submissions after degradation short-circuit to the serial path.
-            again = service.evaluate(compiled, batch)
+            again = service.evaluate(compiled, batch, keep_nodes=keep_nodes)
             final = service.stats()
-        expected = compiled.run(batch)
-        assert np.array_equal(result, expected)
-        assert np.array_equal(again, expected)
+        expected = slow_run(batch, keep_nodes)
+        assert same_run(result, expected)
+        assert same_run(again, expected)
         assert stats.degraded
         assert stats.workers == 0
         assert stats.retired_workers == 2
         assert final.degraded_jobs >= 2
 
-    def test_degraded_shm_job_converts_and_unlinks(self, compiled, rng):
+    @pytest.mark.parametrize("keep_nodes", [False, True])
+    def test_degraded_shm_job_converts_and_unlinks(self, compiled, rng, keep_nodes):
         before = set(_shm_blocks())
         config = fast_recovery_config(
             service_respawn_budget=0,
@@ -316,8 +341,8 @@ class TestDegradation:
         )
         batch = rng.integers(0, 2, size=(6, 64))
         with EvaluationService(config) as service:
-            result = service.evaluate(compiled, batch)
-        assert np.array_equal(result, compiled.run(batch))
+            result = service.evaluate(compiled, batch, keep_nodes=keep_nodes)
+        assert same_run(result, slow_run(batch, keep_nodes))
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
             leaked = set(_shm_blocks()) - before
@@ -335,7 +360,7 @@ class TestDegradation:
         with EvaluationService(config) as service:
             result = service.evaluate(compiled, batch)
             stats = service.stats()
-        assert np.array_equal(result, compiled.run(batch))
+        assert same_run(result, compiled.run(batch))
         # Each of the two slots restarts at most once before retiring.
         assert stats.worker_restarts <= 2
         assert stats.retired_workers == 2
@@ -386,7 +411,7 @@ class TestAggressivePlanEndToEnd:
             futures = [service.submit(compiled, batch) for batch in batches]
             results = [future.result(timeout=60.0) for future in futures]
         for batch, result in zip(batches, results):
-            assert np.array_equal(result, compiled.run(batch))
+            assert same_run(result, compiled.run(batch))
 
 
 def _shm_blocks():

@@ -66,7 +66,7 @@ class TestMatmulPipeline:
 
         deduped, node_map = deduplicate_gates(original.circuit)
         inputs = original.encode_pairs([(a, b)])[:, 0]
-        node_values = simulate(deduped, inputs).node_values
+        node_values = simulate(deduped, inputs, keep_nodes=True).node_values
         for i in range(n):
             for j in range(n):
                 entry = original.entries[i, j]
@@ -87,7 +87,7 @@ class TestMatmulPipeline:
         a = random_integer_matrix(n, 1, rng=rng)
         b = random_integer_matrix(n, 1, rng=rng)
         inputs = original.encode_pairs([(a, b)])[:, 0]
-        node_values = simulate(pruned, inputs).node_values
+        node_values = simulate(pruned, inputs, keep_nodes=True).node_values
         expected = a.astype(object) @ b.astype(object)
         for i in range(n):
             for j in range(n):

@@ -112,7 +112,8 @@ class TestSerializationProperties:
         assert restored.outputs == circuit.outputs
         for assignment in all_assignments(circuit.n_inputs):
             assert (
-                simulate(circuit, assignment).node_values == simulate(restored, assignment).node_values
+                simulate(circuit, assignment, keep_nodes=True).node_values
+                == simulate(restored, assignment, keep_nodes=True).node_values
             ).all()
 
 

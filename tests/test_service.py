@@ -2,12 +2,14 @@
 
 The invariant underneath everything: whatever the sharding, transport
 (pickle vs shared memory), interleaving, eviction, or worker crashes, the
-service returns node values bit-identical to serial evaluation — every task
-is ``program.run`` over an independent column range.
+service returns outputs and energy (and, when asked, node values)
+bit-identical to serial evaluation — every task is ``program.run`` over an
+independent column range.
 """
 
 import numpy as np
 import pytest
+from run_results import same_run
 
 from repro.circuits.builder import CircuitBuilder
 from repro.core.matmul_circuit import build_matmul_circuit
@@ -32,8 +34,9 @@ class ExplodingProgram:
     n_inputs = 2
     n_nodes = 3
     outputs = [2]
+    values_dtype = np.int64
 
-    def run(self, inputs):
+    def run(self, inputs, keep_nodes=False):
         raise ValueError("deliberate failure")
 
 
@@ -44,8 +47,9 @@ class WorkerKillerProgram:
     n_inputs = 2
     n_nodes = 3
     outputs = [2]
+    values_dtype = np.int64
 
-    def run(self, inputs):
+    def run(self, inputs, keep_nodes=False):
         import os
 
         os._exit(17)
@@ -58,12 +62,13 @@ class UnpicklableProgram:
     n_inputs = 2
     n_nodes = 3
     outputs = [2]
+    values_dtype = np.int64
 
     def __init__(self):
         self.blocker = lambda: None  # lambdas cannot be pickled
 
-    def run(self, inputs):  # pragma: no cover - never reaches a worker
-        return np.zeros((self.n_nodes, inputs.shape[1]), dtype=np.int8)
+    def run(self, inputs, keep_nodes=False):  # pragma: no cover - never reaches a worker
+        raise AssertionError("an unpicklable program never reaches a worker")
 
 
 def parity_circuit(n_bits, name="parity"):
@@ -104,10 +109,10 @@ class TestSubmission:
         batch = rng.integers(0, 2, size=(6, 23))
         expected = compiled.run(batch)
         with EvaluationService(service_config()) as service:
-            assert (service.submit(compiled, batch).result() == expected).all()
+            assert same_run(service.submit(compiled, batch).result(), expected)
             # Steady state: same program again, no new installs.
             before = service.stats().installs
-            assert (service.evaluate(compiled, batch) == expected).all()
+            assert same_run(service.evaluate(compiled, batch), expected)
             assert service.stats().installs == before
 
     def test_install_once_per_worker(self, compiled, rng):
@@ -123,25 +128,31 @@ class TestSubmission:
         vector = np.array([1, 0, 1, 1, 0, 0])
         with EvaluationService(service_config()) as service:
             result = service.evaluate(compiled, vector)
-        assert result.shape == (compiled.n_nodes, 1)
-        assert (result[:, 0] == compiled.run(vector[:, None])[:, 0]).all()
+        assert result.outputs.shape == (1, 1)
+        assert same_run(result, compiled.run(vector[:, None]))
 
     def test_zero_width_batch(self, compiled):
+        empty = np.zeros((6, 0), dtype=np.int64)
         with EvaluationService(service_config()) as service:
-            result = service.evaluate(compiled, np.zeros((6, 0), dtype=np.int64))
-        assert result.shape == (compiled.n_nodes, 0)
-        assert result.dtype == np.int8
+            result = service.evaluate(compiled, empty)
+            kept = service.evaluate(compiled, empty, keep_nodes=True)
+        assert result.outputs.shape == (1, 0)
+        assert result.outputs.dtype == np.int8
+        assert result.energy.shape == (0,)
+        assert result.nodes is None
+        assert kept.nodes.shape == (compiled.n_nodes, 0)
+        assert kept.nodes.dtype == np.int8
 
     def test_map_and_as_completed(self, compiled, rng):
         batches = [rng.integers(0, 2, size=(6, 9)) for _ in range(4)]
         with EvaluationService(service_config()) as service:
             for batch, result in zip(batches, service.map(compiled, batches)):
-                assert (result == compiled.run(batch)).all()
+                assert same_run(result, compiled.run(batch))
             futures = {
                 service.submit(compiled, batch): batch for batch in batches
             }
             for future in as_completed(futures):
-                assert (future.result() == compiled.run(futures[future])).all()
+                assert same_run(future.result(), compiled.run(futures[future]))
 
     def test_interleaved_circuits_share_one_pool(self, rng):
         engine = Engine()
@@ -154,23 +165,34 @@ class TestSubmission:
                 for program, batch in zip(programs, batches):
                     futures.append((program, batch, service.submit(program, batch)))
             for program, batch, future in futures:
-                assert (future.result() == program.run(batch)).all()
+                assert same_run(future.result(), program.run(batch))
             stats = service.stats()
             assert stats.jobs == 8
             # Two distinct programs, each installed at most once per worker.
             assert stats.installs <= stats.workers * 2
 
-    def test_bit_equality_vs_evaluate_slow_all_backends(self, parity6, rng):
+    @pytest.mark.parametrize("shm_min_bytes", [1, 1 << 30], ids=["shm", "pickle"])
+    def test_outputs_only_matches_kept_nodes_and_evaluate_slow(
+        self, parity6, rng, shm_min_bytes
+    ):
+        # INV-12 on both transports: a job's outputs and energy equal those
+        # of the kept node matrix and of evaluate_slow, on every backend.
         batch = rng.integers(0, 2, size=(6, 19))
         expected = slow_reference(parity6, batch)
         engine = Engine()
-        with EvaluationService(service_config()) as service:
+        config = service_config(shared_memory_min_bytes=shm_min_bytes)
+        with EvaluationService(config) as service:
             for backend in BACKENDS:
                 program = engine.compile(parity6, backend=backend)
-                node_values = service.evaluate(
-                    program, batch, key=(parity6.structural_hash(), backend)
-                )
-                assert (node_values == expected).all(), backend
+                key = (parity6.structural_hash(), backend)
+                result = service.evaluate(program, batch, key=key)
+                kept = service.evaluate(program, batch, key=key, keep_nodes=True)
+                assert result.nodes is None, backend
+                assert (kept.nodes == expected).all(), backend
+                for got in (result, kept):
+                    assert (got.outputs == expected[parity6.outputs]).all(), backend
+                    assert (got.energy == expected[6:].sum(axis=0)).all(), backend
+            assert service.stats().shm_jobs == (6 if shm_min_bytes == 1 else 0)
 
 
 class TestSharedMemory:
@@ -180,7 +202,7 @@ class TestSharedMemory:
         with EvaluationService(config) as service:
             result = service.evaluate(compiled, batch)
             assert service.stats().shm_jobs == 1
-        assert (result == compiled.run(batch)).all()
+        assert same_run(result, compiled.run(batch))
 
     def test_pickle_fallback_below_threshold(self, compiled, rng):
         batch = rng.integers(0, 2, size=(6, 40))
@@ -188,7 +210,7 @@ class TestSharedMemory:
         with EvaluationService(config) as service:
             result = service.evaluate(compiled, batch)
             assert service.stats().shm_jobs == 0
-        assert (result == compiled.run(batch)).all()
+        assert same_run(result, compiled.run(batch))
 
 
 class TestResilience:
@@ -201,7 +223,7 @@ class TestResilience:
         with EvaluationService(config) as service:
             for _ in range(3):
                 for program, batch in zip(programs, batches):
-                    assert (service.evaluate(program, batch) == program.run(batch)).all()
+                    assert same_run(service.evaluate(program, batch), program.run(batch))
             # A store of one forces alternating installs: strictly more than
             # the install-once floor of workers * programs.
             stats = service.stats()
@@ -214,19 +236,19 @@ class TestResilience:
             # Simulate mirror drift: claim every worker already holds the key.
             for worker in service._workers:
                 worker.store[key] = True
-            assert (service.evaluate(compiled, batch, key=key) == compiled.run(batch)).all()
+            assert same_run(service.evaluate(compiled, batch, key=key), compiled.run(batch))
             assert service.stats().reinstalls >= 1
 
     def test_worker_death_respawns_and_reinstalls(self, compiled, rng):
         batch = rng.integers(0, 2, size=(6, 12))
         expected = compiled.run(batch)
         with EvaluationService(service_config()) as service:
-            assert (service.evaluate(compiled, batch) == expected).all()
+            assert same_run(service.evaluate(compiled, batch), expected)
             installs = service.stats().installs
             for worker in list(service._workers):
                 worker.process.kill()
                 worker.process.join(timeout=10)
-            assert (service.evaluate(compiled, batch) == expected).all()
+            assert same_run(service.evaluate(compiled, batch), expected)
             stats = service.stats()
             assert stats.worker_restarts >= 2
             # Fresh processes have empty stores: the program ships again.
@@ -251,7 +273,7 @@ class TestResilience:
             # The pool stays usable for healthy programs afterwards.
             program = Engine().compile(parity_circuit(4), backend="sparse")
             healthy = rng.integers(0, 2, size=(4, 10))
-            assert (service.evaluate(program, healthy) == program.run(healthy)).all()
+            assert same_run(service.evaluate(program, healthy), program.run(healthy))
 
     def test_unpicklable_program_fails_after_bounded_retries(self, rng):
         # Install pickling fails asynchronously in the queue feeder thread;
@@ -269,7 +291,7 @@ class TestLifecycle:
     def test_close_is_idempotent_and_rejects_new_work(self, compiled, rng):
         batch = rng.integers(0, 2, size=(6, 8))
         service = EvaluationService(service_config())
-        assert (service.evaluate(compiled, batch) == compiled.run(batch)).all()
+        assert same_run(service.evaluate(compiled, batch), compiled.run(batch))
         service.close()
         service.close()
         assert service.closed
@@ -337,12 +359,13 @@ class TestLifecycle:
 class TestEngineRouting:
     def test_parallel_engine_matches_serial(self, parity6, rng):
         batch = rng.integers(0, 2, size=(6, 32))
-        serial = Engine().evaluate(parity6, batch)
+        serial = Engine().evaluate(parity6, batch, keep_nodes=True)
         with Engine(service_config(parallel_threshold=8)) as engine:
             result = engine.evaluate(parity6, batch)
             assert engine._service is not None  # the resident pool engaged
-            again = engine.evaluate(parity6, batch)
-        assert (result.node_values == serial.node_values).all()
+            again = engine.evaluate(parity6, batch, keep_nodes=True)
+        assert result.node_values.shape == (0, 32)
+        assert (result.outputs == serial.outputs).all()
         assert (result.energy == serial.energy).all()
         assert (again.node_values == serial.node_values).all()
 
@@ -352,31 +375,34 @@ class TestEngineRouting:
         with Engine(service_config(parallel_threshold=8, persistent_pool=False)) as engine:
             result = engine.evaluate(parity6, batch)
             assert engine._service is None
-        assert (result.node_values == serial.node_values).all()
+        assert (result.outputs == serial.outputs).all()
+        assert (result.energy == serial.energy).all()
 
     def test_squeeze_and_zero_width_through_parallel_config(self, parity6, rng):
         with Engine(service_config()) as engine:
             vector = rng.integers(0, 2, size=6)
-            single = engine.evaluate(parity6, vector)
+            single = engine.evaluate(parity6, vector, keep_nodes=True)
             assert single.node_values.ndim == 1
-            assert (
-                single.node_values == Engine().evaluate(parity6, vector).node_values
-            ).all()
+            serial = Engine().evaluate(parity6, vector, keep_nodes=True)
+            assert (single.node_values == serial.node_values).all()
+            assert engine.evaluate(parity6, vector).node_values.shape == (0,)
             empty = engine.evaluate(parity6, np.zeros((6, 0), dtype=np.int64))
-            assert empty.node_values.shape == (parity6.n_nodes, 0)
+            assert empty.node_values.shape == (0, 0)
             assert empty.energy.shape == (0,)
 
     def test_engine_submit_future(self, parity6, rng):
         batch = rng.integers(0, 2, size=(6, 24))
-        serial = Engine().evaluate(parity6, batch)
+        serial = Engine().evaluate(parity6, batch, keep_nodes=True)
         with Engine(service_config(parallel_threshold=8)) as engine:
             futures = [engine.submit(parity6, batch) for _ in range(3)]
+            futures.append(engine.submit(parity6, batch, keep_nodes=True))
             for future in futures:
                 result = future.result(timeout=60)
-                assert (result.node_values == serial.node_values).all()
                 assert (result.outputs == serial.outputs).all()
+                assert (result.energy == serial.energy).all()
+            assert (result.node_values == serial.node_values).all()
         # Serial engines complete submissions inline.
-        future = Engine().submit(parity6, batch)
+        future = Engine().submit(parity6, batch, keep_nodes=True)
         assert future.done()
         assert (future.result().node_values == serial.node_values).all()
 
@@ -399,9 +425,9 @@ class TestEngineRouting:
             assert engine._service is None
             result = engine.evaluate(parity6, batch)
             assert engine._service is not first
-            assert (
-                result.node_values == Engine().evaluate(parity6, batch).node_values
-            ).all()
+            serial = Engine().evaluate(parity6, batch)
+            assert (result.outputs == serial.outputs).all()
+            assert (result.energy == serial.energy).all()
         finally:
             engine.close()
 
@@ -568,7 +594,7 @@ class TestMetricPiggyback:
             for worker in service._workers:
                 worker.store[key] = True  # mirror drift: worker lacks the program
             expected = compiled.run(batch)
-            assert (service.evaluate(compiled, batch, key=key) == expected).all()
+            assert same_run(service.evaluate(compiled, batch, key=key), expected)
             stats = service.stats()
             assert stats.reinstalls >= 1
             # The missing attempt never ran the program, so executed-task
@@ -591,14 +617,25 @@ class TestMetricPiggyback:
                 assert summary["count"] >= 1
                 assert summary["p50"] is not None
 
-    def test_transport_bytes_recorded(self, compiled, rng, telemetry):
-        shm_config = service_config(shared_memory_min_bytes=1)
-        batch = rng.integers(0, 2, size=(6, 32))
-        with EvaluationService(shm_config) as service:
-            service.evaluate(compiled, batch)
-            assert service.stats().shm_jobs >= 1
-        assert telemetry.total("worker.shm_bytes") > 0
-        assert telemetry.total("worker.pickle_bytes") == 0
+    @pytest.mark.parametrize("keep_nodes", [False, True])
+    def test_transport_bytes_recorded(self, compiled, rng, telemetry, keep_nodes):
+        # The parent counts each job's input block; workers count the input
+        # columns they read plus the result columns they send or write:
+        # 8 bytes of energy and one int8 row per output (per node, kept).
+        batch = rng.integers(0, 2, size=(6, 32))  # int64: 1,536 bytes
+        rows = compiled.n_nodes if keep_nodes else len(compiled.outputs)
+        moved = batch.nbytes + 32 * (8 + rows)
+        # A pickled reply with kept nodes carries the output rows as well.
+        pickled = moved + (32 * len(compiled.outputs) if keep_nodes else 0)
+        for shm_min_bytes, shm_jobs in ((1 << 30, 0), (1, 1)):
+            config = service_config(shared_memory_min_bytes=shm_min_bytes)
+            with EvaluationService(config) as service:
+                service.evaluate(compiled, batch, keep_nodes=keep_nodes)
+                assert service.stats().shm_jobs == shm_jobs
+        assert telemetry.total("service.pickle_bytes") == batch.nbytes
+        assert telemetry.total("service.shm_bytes") == batch.nbytes
+        assert telemetry.total("worker.pickle_bytes") == pickled
+        assert telemetry.total("worker.shm_bytes") == moved
 
     def test_disabled_telemetry_still_has_stats(self, compiled, rng):
         from repro.obs import get_registry
@@ -634,7 +671,7 @@ class TestDiskWarmStart:
         expected = program.run(batch)
         config = service_config(artifact_cache=True, artifact_dir=adir)
         with EvaluationService(config) as service:
-            assert (service.evaluate(program, batch, key=key) == expected).all()
+            assert same_run(service.evaluate(program, batch, key=key), expected)
             stats = service.stats()
             # The program never crossed the install queue: every worker
             # that needed it restored the published artifact itself.
@@ -646,7 +683,7 @@ class TestDiskWarmStart:
             for worker in list(service._workers):
                 worker.process.kill()
                 worker.process.join(timeout=10)
-            assert (service.evaluate(program, batch, key=key) == expected).all()
+            assert same_run(service.evaluate(program, batch, key=key), expected)
             stats = service.stats()
             assert stats.worker_restarts >= 2
             assert stats.installs == 0
@@ -660,7 +697,7 @@ class TestDiskWarmStart:
         with EvaluationService(config) as service:
             # Warm steady state first, so the parent memoizes the artifact
             # as disk-resident and skips queue installs.
-            assert (service.evaluate(program, batch, key=key) == expected).all()
+            assert same_run(service.evaluate(program, batch, key=key), expected)
             assert service.stats().installs == 0
 
             # Now delete the artifact *and* the workers' in-memory copies
@@ -674,5 +711,5 @@ class TestDiskWarmStart:
             for worker in list(service._workers):
                 worker.process.kill()
                 worker.process.join(timeout=10)
-            assert (service.evaluate(program, batch, key=key) == expected).all()
+            assert same_run(service.evaluate(program, batch, key=key), expected)
             assert service.stats().installs >= 1

@@ -74,6 +74,8 @@ class TestShortSoaks:
         report.assert_ok()
         assert report.jobs_ok > 0
         assert len(report.families) == 5
+        # One family keeps node values, so both result shapes stay covered.
+        assert "parity6-sparse-nodes" in report.families
         assert report.final_stats["jobs"] >= report.jobs_ok
 
     def test_aggressive_soak(self):
