@@ -20,10 +20,10 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import report, same_outputs_and_energy
+from benchmarks.conftest import report
 from repro.circuits.builder import CircuitBuilder
 from repro.core import build_trace_circuit
-from repro.engine import Engine, EngineConfig, evaluate_batched
+from repro.engine import Engine, EngineConfig, evaluate_batched, same_run
 
 
 def parity_circuit(n_bits):
@@ -145,4 +145,4 @@ def test_e14_sharded_scheduler(benchmark, rng):
     # Correctness of the sharded path, whatever the timing says.
     serial = evaluate_batched(program, batch, serial_config)
     sharded = evaluate_batched(program, batch, sharded_config)
-    assert same_outputs_and_energy(sharded, serial)
+    assert same_run(sharded, serial)

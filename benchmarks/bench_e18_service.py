@@ -35,9 +35,15 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import report, same_outputs_and_energy
+from benchmarks.conftest import report
 from repro.core.naive_circuits import build_naive_matmul_circuit
-from repro.engine import Engine, EngineConfig, EvaluationService, evaluate_batched
+from repro.engine import (
+    Engine,
+    EngineConfig,
+    EvaluationService,
+    evaluate_batched,
+    same_run,
+)
 
 QUICK = os.environ.get("E18_QUICK") == "1"
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_e18.json"
@@ -111,7 +117,7 @@ def _service_case(name, n, workers, batch_width, repeats, required, required_pip
     )
 
     bit_identical = all(
-        same_outputs_and_energy(got, want)
+        same_run(got, want)
         for outputs in (percall_results, service_results, pipelined_results)
         for got, want in zip(outputs, expected)
     )

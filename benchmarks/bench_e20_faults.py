@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import report, same_outputs_and_energy
+from benchmarks.conftest import report
 from repro.core.naive_circuits import build_naive_matmul_circuit
-from repro.engine import Engine, EngineConfig, EvaluationService, FaultPlan
+from repro.engine import Engine, EngineConfig, EvaluationService, FaultPlan, same_run
 
 QUICK = os.environ.get("E20_QUICK") == "1"
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_e20.json"
@@ -98,7 +98,7 @@ def _fault_case(name, n, workers, batch_width, repeats):
     fault_s, fault_results, fault_stats = _run_stream(program, batches, faulty)
 
     bit_identical = all(
-        same_outputs_and_energy(got, want)
+        same_run(got, want)
         for outputs in (bare_results, hard_results, fault_results)
         for got, want in zip(outputs, expected)
     )

@@ -30,23 +30,44 @@ root.
 import json
 import os
 import statistics
+import subprocess
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import fingerprint, report
+from benchmarks.conftest import report
+from perfbench.harness import fingerprint as host_fingerprint
 from repro.core.naive_circuits import build_naive_matmul_circuit
 from repro.engine import Engine, run_chunk_width
 
 QUICK = os.environ.get("E22_QUICK") == "1"
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_e22.json"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCH_JSON = REPO_ROOT / "BENCH_e22.json"
 
 #: Timed evaluations per row; the best one is reported.
 ROUNDS = 3
 #: The full-mode gate on naive n=64 at batch 2048.
 MAX_N64_PEAK_BYTES = 1 << 30
+
+
+def _fingerprint() -> dict:
+    """perfbench's host fingerprint, plus whether the work tree had
+    uncommitted changes: the sha alone names the commit they sit on."""
+    row = host_fingerprint(str(REPO_ROOT), 1)
+    try:
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "-uno"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        status = ""
+    row["git_dirty"] = bool(row["git_sha"]) and bool(status.strip())
+    return row
 
 
 def _peak_bytes(engine, circuit, inputs):
@@ -118,7 +139,7 @@ def test_e22_outputs_only_memory_and_throughput(benchmark):
             {
                 "experiment": "E22",
                 "quick": QUICK,
-                "fingerprint": fingerprint(),
+                "fingerprint": _fingerprint(),
                 "rows": rows,
             },
             indent=2,

@@ -9,18 +9,10 @@ are asserted so the harness fails loudly if the reproduction drifts.
 
 from __future__ import annotations
 
-import os
-import platform
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from repro.analysis.report import format_table
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -29,51 +21,7 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(2018)
 
 
-def same_outputs_and_energy(got, want) -> bool:
-    """Whether two run results carry bit-identical outputs and energy."""
-    return np.array_equal(got.outputs, want.outputs) and np.array_equal(
-        got.energy, want.energy
-    )
-
-
 def report(title: str, rows, columns=None) -> None:
     """Print an experiment's table (visible with ``pytest -s``)."""
     print(f"\n== {title} ==")
     print(format_table(rows, columns))
-
-
-def fingerprint() -> dict:
-    """The host a benchmark row was measured on, in perfbench's fields."""
-    import scipy
-
-    try:
-        blas_info = np.__config__.CONFIG["Build Dependencies"]["blas"]
-        blas = f"{blas_info.get('name')} {blas_info.get('version')}"
-    except (AttributeError, KeyError, TypeError):
-        blas = "unknown"
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:
-        usable = os.cpu_count() or 1
-    def git(*args):
-        try:
-            return subprocess.run(
-                ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True, timeout=10
-            ).stdout.strip()
-        except (OSError, subprocess.SubprocessError):
-            return ""
-
-    sha = git("rev-parse", "HEAD")
-    return {
-        "cpu_count": os.cpu_count(),
-        "usable_cpus": usable,
-        "machine": platform.machine(),
-        "blas": blas,
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "git_sha": sha or None,
-        # Rows measured on uncommitted changes say so: the sha alone would
-        # name the commit they sit on.
-        "git_dirty": bool(sha) and bool(git("status", "--porcelain", "-uno")),
-    }

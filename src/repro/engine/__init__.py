@@ -40,6 +40,7 @@ from repro.engine.backends import (
     backend_registry,
     get_backend,
     run_chunk_width,
+    same_run,
     select_backend_name,
 )
 from repro.engine.cache import CacheInfo, CompileCache
@@ -112,6 +113,7 @@ __all__ = [
     "narrowed_chunk_size",
     "run_chunk_width",
     "run_serial",
+    "same_run",
     "select_backend_name",
     "set_default_engine",
     "transform_executor",

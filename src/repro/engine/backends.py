@@ -67,6 +67,7 @@ __all__ = [
     "backend_registry",
     "get_backend",
     "run_chunk_width",
+    "same_run",
     "select_backend_name",
 ]
 
@@ -88,6 +89,22 @@ class RunResult(NamedTuple):
     outputs: np.ndarray
     energy: np.ndarray
     nodes: Optional[np.ndarray] = None
+
+
+def same_run(got: RunResult, want: RunResult) -> bool:
+    """Whether two run results are bit-identical field by field: the same
+    outputs and energy (values and dtypes), and the same kept node values
+    or neither keeps them.  Tuple ``==`` cannot compare arrays."""
+    return all(
+        (a is None and b is None)
+        or (
+            a is not None
+            and b is not None
+            and a.dtype == b.dtype
+            and np.array_equal(a, b)
+        )
+        for a, b in zip(got, want)
+    )
 
 
 @runtime_checkable
@@ -135,7 +152,10 @@ def _lane_dtype(plan: TemplatePlan, backend: str) -> np.dtype:
 #: never materializes every stamp's locals at once.  Above a quarter of
 #: this, a chunk's matrix also stays within 1/32 of the run's node buffer:
 #: a layer's sums never outgrow the matrix, so a stamp chunk adds at most
-#: 1/16 of a large node buffer to a run's peak memory.
+#: 1/16 of a large node buffer to a run's peak memory.  A smaller fixed
+#: budget would bound that peak too, but would also cut the wide runs,
+#: whose node buffers are large, into more chunks, each paying a gather,
+#: one product per layer and a scatter.
 _STAMP_CHUNK_BYTES = 1 << 20
 
 #: The most bytes one run's node-value buffer may take.  A wider batch runs

@@ -1099,13 +1099,11 @@ class EvaluationService:
         ).result()
 
     def map(
-        self, program, batches: Iterable, *, key=None, chunk_size=None, keep_nodes=False
+        self, program, batches: Iterable, *, key=None, chunk_size=None
     ) -> Iterator[RunResult]:
         """Submit many batches of one program; yield results in order."""
         futures = [
-            self.submit(
-                program, batch, key=key, chunk_size=chunk_size, keep_nodes=keep_nodes
-            )
+            self.submit(program, batch, key=key, chunk_size=chunk_size)
             for batch in batches
         ]
         for future in futures:

@@ -37,6 +37,7 @@ import numpy as np
 from repro.circuits.builder import CircuitBuilder
 from repro.core.matmul_circuit import build_matmul_circuit
 from repro.core.trace_circuit import build_trace_circuit
+from repro.engine.backends import same_run
 from repro.engine.config import EngineConfig
 from repro.engine.engine import Engine
 from repro.engine.faults import DeadlineExceeded, FaultPlan
@@ -181,15 +182,6 @@ class _Family:
         self.keep_nodes = keep_nodes
         self.references = [program.run(batch, keep_nodes) for batch in batches]
 
-    def matches(self, result, index: int) -> bool:
-        """Whether a service result equals the serial reference, field by field."""
-        reference = self.references[index]
-        return all(
-            (got is None and want is None)
-            or (got is not None and want is not None and np.array_equal(got, want))
-            for got, want in zip(result, reference)
-        )
-
 
 def _build_families(engine: Engine, rng: np.random.Generator, n_batches: int):
     families: List[_Family] = []
@@ -282,7 +274,7 @@ def run_soak(
                 name = type(exc).__name__
                 report.failures[name] = report.failures.get(name, 0) + 1
             else:
-                if family.matches(result, index):
+                if same_run(result, family.references[index]):
                     report.jobs_ok += 1
                 else:
                     report.drift += 1

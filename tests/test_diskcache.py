@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from run_results import same_run
 
 from repro.circuits.builder import CircuitBuilder
 from repro.engine import (
@@ -25,6 +24,7 @@ from repro.engine import (
     DiskArtifactStore,
     Engine,
     EngineConfig,
+    same_run,
 )
 
 SRC = Path(__file__).parent.parent / "src"

@@ -664,7 +664,8 @@ class TestRunMemory:
         # gather alone would cost two thirds of the node buffer.  Its plan
         # runs in the float32 lane, so the node buffer is 0.5 of an int64
         # buffer; an outputs-only run adds no int8 copy of it, and a stamp
-        # chunk with its layer sums stays within _STAMP_CHUNK_BYTES.
+        # chunk's matrix stays within 1/32 of the node buffer or the 256 KiB
+        # floor (1 MiB chunks would cross the bound here).
         import tracemalloc
 
         batch = 16

@@ -26,10 +26,10 @@ from repro.engine import (
     aggressive_plan,
     fault_plan_from_env,
     run_serial,
+    same_run,
 )
 from repro.engine.faults import FAULTS_ENV_VAR
 
-from run_results import same_run
 from test_service import parity_circuit, service_config, slow_reference
 
 

@@ -9,7 +9,6 @@ independent column range.
 
 import numpy as np
 import pytest
-from run_results import same_run
 
 from repro.circuits.builder import CircuitBuilder
 from repro.core.matmul_circuit import build_matmul_circuit
@@ -21,6 +20,7 @@ from repro.engine import (
     ServiceClosed,
     as_completed,
     chain_future,
+    same_run,
 )
 from repro.triangles import build_triangle_query
 
