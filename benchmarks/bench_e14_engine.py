@@ -9,8 +9,9 @@ batches through it.  This experiment measures where each backend wins:
   auto-heuristic routes such circuits dense;
 * *sparse* (CSR) on the constructed trace circuits, whose thousands of
   nodes would make dense layer matrices quadratically large;
-* the *sharded* scheduler (process pool over column chunks) on wide batches,
-  reported alongside the serial chunked path.
+* *sharded* evaluation (column chunks over the engine's resident
+  two-worker evaluation service) on wide batches, reported alongside the
+  serial chunked path.
 
 Rows follow the bench_e* convention: one JSON-compatible dict per
 configuration, printed through the shared report helper.
@@ -23,7 +24,7 @@ import numpy as np
 from benchmarks.conftest import report
 from repro.circuits.builder import CircuitBuilder
 from repro.core import build_trace_circuit
-from repro.engine import Engine, EngineConfig, evaluate_batched, same_run
+from repro.engine import Engine, EngineConfig, RunResult, same_run
 
 
 def parity_circuit(n_bits):
@@ -120,15 +121,21 @@ def test_e14_trace_circuit_backend_choice(benchmark, rng):
 
 def test_e14_sharded_scheduler(benchmark, rng):
     trace = build_trace_circuit(4, 10, bit_width=1, depth_parameter=2)
-    engine = Engine()
-    program = engine.compile(trace.circuit, backend="sparse")
     batch = rng.integers(0, 2, size=(trace.circuit.n_inputs, 2048))
-    serial_config = EngineConfig(chunk_size=256)
-    sharded_config = EngineConfig(chunk_size=256, max_workers=2, parallel_threshold=512)
+    serial_engine = Engine(EngineConfig(chunk_size=256))
+    sharded_engine = Engine(
+        EngineConfig(chunk_size=256, max_workers=2, parallel_threshold=512)
+    )
+
+    def run(engine):
+        result = engine.evaluate(trace.circuit, batch, backend="sparse")
+        return RunResult(result.outputs, result.energy)
 
     def compute_rows():
-        serial_s = best_time(lambda: evaluate_batched(program, batch, serial_config), repeats=3)
-        sharded_s = best_time(lambda: evaluate_batched(program, batch, sharded_config), repeats=3)
+        # The first sharded call starts the service and installs the
+        # program on both workers; best-of-3 times the steady state.
+        serial_s = best_time(lambda: run(serial_engine), repeats=3)
+        sharded_s = best_time(lambda: run(sharded_engine), repeats=3)
         return [
             {
                 "circuit": trace.circuit.name,
@@ -140,9 +147,8 @@ def test_e14_sharded_scheduler(benchmark, rng):
             }
         ]
 
-    rows = benchmark.pedantic(compute_rows, rounds=1, iterations=1)
-    report("E14: serial vs sharded (2 workers) chunked evaluation", rows)
-    # Correctness of the sharded path, whatever the timing says.
-    serial = evaluate_batched(program, batch, serial_config)
-    sharded = evaluate_batched(program, batch, sharded_config)
-    assert same_run(sharded, serial)
+    with sharded_engine:
+        rows = benchmark.pedantic(compute_rows, rounds=1, iterations=1)
+        report("E14: serial vs sharded (2 workers) chunked evaluation", rows)
+        # Correctness of the sharded path, whatever the timing says.
+        assert same_run(run(sharded_engine), run(serial_engine))

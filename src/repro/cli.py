@@ -499,7 +499,6 @@ def _cmd_batch_eval(args, stream) -> int:
         # narrow; single-row files (and --workers 1) evaluate inline, in
         # which case the printed "service" stats are null.
         parallel_threshold=1,
-        persistent_pool=True,
     )
     with _metrics_session(args.metrics is not None) as registry:
         with Engine(config) as engine:

@@ -11,12 +11,13 @@ This subpackage owns everything between "a ThresholdCircuit exists" and
   fresh process or worker warm-start instead of recompiling;
 * :mod:`repro.engine.backends` — pluggable sparse / dense / exact backends
   behind a common protocol, with auto-selection from circuit stats;
-* :mod:`repro.engine.scheduler` — chunked and process-parallel batch
-  evaluation (per-call pool) into outputs-plus-energy result blocks;
-* :mod:`repro.engine.service` — the resident :class:`EvaluationService`:
-  a persistent worker pool with install-once programs, shared-memory
-  batch transport, a futures-based submission API, and a hardening
-  ladder (deadlines, bounded retry, stall detection, degradation);
+* :mod:`repro.engine.scheduler` — chunked in-process batch evaluation
+  (:func:`run_serial`) into outputs-plus-energy result blocks;
+* :mod:`repro.engine.service` — the resident :class:`EvaluationService`,
+  the one process-parallel path: a persistent worker pool with
+  install-once programs, pickled column chunks, a futures-based
+  submission API, and a hardening ladder (deadlines, bounded retry,
+  stall detection, degradation);
 * :mod:`repro.engine.faults` — :class:`FaultPlan` injection points for
   tests and soak runs, plus :class:`DeadlineExceeded`;
 * :mod:`repro.engine.soak` — the invariant soak harness hammering a
@@ -60,7 +61,6 @@ from repro.engine.faults import (
     fault_plan_from_env,
 )
 from repro.engine.scheduler import (
-    evaluate_batched,
     iter_column_chunks,
     narrowed_chunk_size,
     run_serial,
@@ -106,7 +106,6 @@ __all__ = [
     "compute_spike_trace",
     "default_artifact_dir",
     "default_engine",
-    "evaluate_batched",
     "fault_plan_from_env",
     "get_backend",
     "iter_column_chunks",

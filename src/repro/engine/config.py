@@ -2,10 +2,11 @@
 
 An :class:`EngineConfig` bundles every knob of the runtime: which backend to
 compile circuits for, how large the compile cache may grow, how wide the
-column chunks of a batch evaluation are, and when to shard chunks across a
-process pool.  The defaults are tuned for the circuits this repository
-builds (thousands of gates, batches up to a few thousand inputs) and can be
-overridden per :class:`~repro.engine.engine.Engine`.
+column chunks of a batch evaluation are, and when to shard them across the
+resident evaluation service's worker processes.  The defaults are tuned for
+the circuits this repository builds (thousands of gates, batches up to a few
+thousand inputs) and can be overridden per
+:class:`~repro.engine.engine.Engine`.
 """
 
 from __future__ import annotations
@@ -40,11 +41,15 @@ class EngineConfig:
         Column-block width of batched evaluation.  Batches wider than this
         are evaluated in chunks so per-layer intermediates stay cache-sized.
     max_workers:
-        Shard chunks across a ``multiprocessing`` pool of this many workers.
-        0 or 1 evaluates serially in-process.
+        Shard chunks across the resident
+        :class:`~repro.engine.service.EvaluationService` with this many
+        worker processes, started on the first parallel evaluation: workers
+        stay alive across calls and compiled programs are installed once
+        per worker.  0 or 1 evaluates serially in-process.
     parallel_threshold:
-        Minimum batch width before the pool is spun up; smaller batches are
-        always evaluated serially (a pool costs more than it saves there).
+        Minimum batch width before a batch goes to the service; smaller
+        batches are always evaluated serially (dispatch costs more than it
+        saves there).
     dense_node_limit:
         Auto-selection: circuits with at most this many nodes use the dense
         backend, where the CSR overhead dominates the actual arithmetic.
@@ -56,19 +61,6 @@ class EngineConfig:
         before the compile tiles them (one layer plan per stamped gadget
         template, shared across stamps); sparsely-stamped circuits below it
         compile every gate as residual runs, which amortize better there.
-    persistent_pool:
-        When True (default) and ``max_workers > 1``, batched evaluation
-        routes through the resident :class:`~repro.engine.service.EvaluationService`
-        — workers stay alive across calls and compiled programs are
-        installed once per worker.  False falls back to the per-call pool
-        of :func:`~repro.engine.scheduler.evaluate_batched` (ablation /
-        debugging).
-    shared_memory_min_bytes:
-        Batches whose input block is at least this many bytes are shipped
-        to service workers through ``multiprocessing.shared_memory``
-        (inputs staged once, output columns written in place); smaller
-        batches are pickled over the queues, which is cheaper than two
-        block setups there.
     service_queue_depth:
         Maximum number of outstanding jobs the service accepts before
         ``submit`` blocks — the backpressure bound on pipelined queries.
@@ -77,8 +69,9 @@ class EngineConfig:
         ``(structural_hash, backend)`` programs held resident per worker).
     service_task_attempts:
         Maximum times one task may be attempted (first dispatch + retries
-        after worker deaths, lost results, or shm attach failures) before
-        its job fails.
+        after worker deaths, lost results, or missing-program reports)
+        before its job fails, so a task that deterministically kills its
+        worker fails the job instead of respawning it forever.
     service_retry_backoff_s:
         Base delay before re-dispatching a failed task attempt; doubles per
         attempt (exponential backoff).  0 retries immediately.
@@ -146,8 +139,6 @@ class EngineConfig:
     dense_node_limit: int = 512
     dense_density: float = 0.25
     template_min_cover: float = 0.25
-    persistent_pool: bool = True
-    shared_memory_min_bytes: int = 1 << 20
     service_queue_depth: int = 16
     service_store_size: int = 16
     service_task_attempts: int = 5
@@ -188,11 +179,6 @@ class EngineConfig:
         if not (0.0 <= self.template_min_cover <= 1.0):
             raise ValueError(
                 f"template_min_cover must be in [0, 1], got {self.template_min_cover}"
-            )
-        if self.shared_memory_min_bytes < 0:
-            raise ValueError(
-                "shared_memory_min_bytes must be >= 0, "
-                f"got {self.shared_memory_min_bytes}"
             )
         if self.service_queue_depth < 1:
             raise ValueError(

@@ -5,19 +5,19 @@ circuits plus input batches into results:
 
 * :meth:`Engine.compile` — structural-hash cache lookup, backend
   auto-selection, compilation on miss;
-* :meth:`Engine.evaluate` — batched evaluation through the chunked /
-  process-parallel scheduler, returning the familiar
+* :meth:`Engine.evaluate` — batched evaluation, returning the familiar
   :class:`~repro.circuits.simulator.SimulationResult` of outputs and
   energy (every node's value only with ``keep_nodes=True``);
 * :meth:`Engine.submit` — the same, as a future, pipelined through the
   persistent evaluation service;
 * :meth:`Engine.spike_trace` — the spiking-mode activity trace.
 
-When ``EngineConfig.persistent_pool`` is set (the default) and the config
-asks for workers, parallel-eligible batches route through a lazily-started
-resident :class:`~repro.engine.service.EvaluationService` instead of a
-per-call pool: workers stay alive across calls and each compiled program is
-installed once per worker, keyed by ``(structural_hash, backend)``.
+A batch takes one of two routes.  When the config asks for workers and the
+batch is at least ``parallel_threshold`` wide, it goes to a lazily-started
+resident :class:`~repro.engine.service.EvaluationService`: workers stay
+alive across calls and each compiled program is installed once per worker,
+keyed by ``(structural_hash, backend)``.  Every other batch runs in column
+chunks in-process through :func:`~repro.engine.scheduler.run_serial`.
 
 A process-wide default engine (:func:`default_engine`) backs the
 compatibility wrappers (``repro.circuits.simulate``, ``TraceCircuit``), so
@@ -49,7 +49,7 @@ from repro.engine.backends import (
 from repro.engine.cache import CacheInfo, CompileCache
 from repro.engine.config import BACKEND_NAMES, EngineConfig
 from repro.engine.diskcache import DiskArtifactStore
-from repro.engine.scheduler import evaluate_batched, narrowed_chunk_size
+from repro.engine.scheduler import narrowed_chunk_size, run_serial
 from repro.engine.spiking import ActivityPlan, SpikeTrace, compute_spike_trace
 from repro.obs import enable as enable_telemetry
 from repro.obs import get_registry
@@ -215,15 +215,12 @@ class Engine:
         return self._service
 
     def _service_eligible(self, batch: int) -> bool:
-        """Mirror of the scheduler's pool gate, for the resident service.
-
-        A batch of one column always runs inline (the scheduler would too),
-        so both paths stay bit-and-route identical apart from pool reuse.
-        """
+        """Whether a batch of this width goes to the resident service: the
+        config asks for workers and the batch reaches ``parallel_threshold``.
+        A batch of one column always runs inline, since it cannot shard."""
         config = self.config
         return (
-            config.persistent_pool
-            and config.max_workers > 1
+            config.max_workers > 1
             and batch >= config.parallel_threshold
             and batch > 1
         )
@@ -231,7 +228,7 @@ class Engine:
     def _run(
         self, entry: _CacheEntry, inputs: np.ndarray, keep_nodes: bool
     ) -> RunResult:
-        """A batch's run result via the service or the per-call scheduler."""
+        """A batch's run result via the service or in-process chunks."""
         registry = get_registry()
         program = entry.program
         if self._service_eligible(inputs.shape[1]):
@@ -248,7 +245,12 @@ class Engine:
                     keep_nodes=keep_nodes,
                 )
         with registry.span("engine.evaluate_s", route="local", backend=entry.key[1]):
-            return evaluate_batched(program, inputs, self.config, keep_nodes)
+            return run_serial(
+                program,
+                inputs,
+                chunk_size=self.config.chunk_size,
+                keep_nodes=keep_nodes,
+            )
 
     def close(self) -> None:
         """Shut down the resident evaluation service, if one was started.
@@ -360,7 +362,12 @@ class Engine:
         future: "Future[SimulationResult]" = Future()
         future.set_running_or_notify_cancel()
         try:
-            result = evaluate_batched(entry.program, inputs, self.config, keep_nodes)
+            result = run_serial(
+                entry.program,
+                inputs,
+                chunk_size=self.config.chunk_size,
+                keep_nodes=keep_nodes,
+            )
             future.set_result(self._to_result(result, squeeze))
         except Exception as exc:
             future.set_exception(exc)

@@ -1,11 +1,11 @@
 """Fault injection for the evaluation service (tests and soak runs only).
 
 The resident :class:`~repro.engine.service.EvaluationService` claims to
-survive worker deaths, lost messages, wedged workers, shared-memory
-breakage, and poisoned installs.  Claims like that rot unless something
-exercises them continuously, so this module defines a picklable
-:class:`FaultPlan` — a declarative set of injection points threaded into the
-service's worker loop and dispatcher:
+survive worker deaths, lost messages, wedged workers, and poisoned
+installs.  Claims like that rot unless something exercises them
+continuously, so this module defines a picklable :class:`FaultPlan` — a
+declarative set of injection points threaded into the service's worker
+loop and dispatcher:
 
 * **Process kills** — ``kill_before_task`` / ``kill_after_task`` make a
   worker ``os._exit`` around its N-th executed task (before running it, or
@@ -18,11 +18,9 @@ service's worker loop and dispatcher:
   a result, ``corrupt_result_tasks`` replaces it with a malformed message,
   ``drop_dispatch_tasks`` makes the *dispatcher* lose a request before it
   reaches the worker, and ``delay_result_s`` slows every report down.
-* **Transport and install failures** — ``shm_attach_failures`` makes the
-  first K shared-memory attaches raise, ``install_failures`` drops the
-  first K program installs (the worker then keeps reporting the program
-  missing until the parent's bounded reinstall budget runs out or a retry
-  lands).
+* **Install failures** — ``install_failures`` drops the first K program
+  installs (the worker then keeps reporting the program missing until the
+  parent's bounded reinstall budget runs out or a retry lands).
 
 Ordinals are **1-based and worker-local** (each worker process counts its
 own executed tasks), so a respawned worker re-arms the plan — a
@@ -88,8 +86,6 @@ class FaultPlan:
     corrupt_result_tasks: Tuple[int, ...] = ()
     #: Sleep this long before every result put (slow-worker pressure).
     delay_result_s: float = 0.0
-    #: The first K shared-memory attaches in a worker raise.
-    shm_attach_failures: int = 0
     #: The first K install messages in a worker are dropped.
     install_failures: int = 0
     #: The dispatcher silently drops these (service-global, 1-based)
@@ -125,7 +121,7 @@ class FaultPlan:
         for name in ("stall_seconds", "delay_result_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("shm_attach_failures", "install_failures", "artifact_crash_writes"):
+        for name in ("install_failures", "artifact_crash_writes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
@@ -184,9 +180,9 @@ def aggressive_plan() -> FaultPlan:
     variant appears because a worker dies at most once per life and the
     plan re-arms identically — the earliest fatal ordinal would always win,
     so ``kill_after_task`` / detection-threshold stalls are left to the
-    targeted tests that can observe them in isolation.  Shared-memory
-    attaches and an install also fail once per worker process, and every
-    report is slightly delayed to keep result ordering honest.
+    targeted tests that can observe them in isolation.  An install also
+    fails once per worker process, and every report is slightly delayed to
+    keep result ordering honest.
     """
     return FaultPlan(
         kill_before_task=9,
@@ -195,7 +191,6 @@ def aggressive_plan() -> FaultPlan:
         drop_result_tasks=(2,),
         corrupt_result_tasks=(4,),
         delay_result_s=0.01,
-        shm_attach_failures=2,
         install_failures=1,
         drop_dispatch_tasks=(11,),
     )

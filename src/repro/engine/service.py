@@ -1,23 +1,23 @@
 """Persistent evaluation service: a resident worker pool with install-once programs.
 
-The per-call pool in :mod:`repro.engine.scheduler` re-pays the dominant
-costs of process-parallel evaluation on *every* batch: spawning the pool and
-shipping the compiled program to each worker.  That shape is exactly wrong
-for the amortization story of the paper — build a circuit once, answer many
-queries against it — so this module keeps the workers *resident*:
+The engine's one process-parallel path.  A pool spawned per batch would
+re-pay the dominant costs of process-parallel evaluation on *every* batch:
+spawning the processes and shipping the compiled program to each worker.
+That shape is exactly wrong for the amortization story of the paper —
+build a circuit once, answer many queries against it — so this module
+keeps the workers *resident*:
 
 * Each worker process owns a small LRU **program store**.  A compiled
   program is installed once per ``(structural_hash, backend)`` per worker
   and thereafter referenced by that key, so steady-state requests carry
   only input columns.
-* A job's result is its outputs and energy (every node's value only with
-  ``keep_nodes=True``), assembled column range by column range in a
-  :class:`~repro.engine.scheduler.ResultBlock`.  Wide batches travel
-  through ``multiprocessing.shared_memory`` blocks (one for the inputs, one
-  result block the workers write their output and energy columns into);
-  small batches fall back to pickling chunks over the queues and results
-  back, which is cheaper than two block setups there.
-  ``EngineConfig.shared_memory_min_bytes`` draws the line.
+* A job's input columns are pickled to the workers over the request
+  queues, and each task's outputs and energy (every node's value only
+  with ``keep_nodes=True``) are pickled back and assembled column range by
+  column range in a :class:`~repro.engine.scheduler.ResultBlock`.
+  :meth:`EvaluationService.submit` stores the job's own copy of the
+  input block, so a caller may reuse its array as soon as ``submit``
+  returns.
 * :meth:`EvaluationService.submit` returns a :class:`concurrent.futures.Future`,
   so many independent jobs — different circuits, different batches — pipeline
   over one pool; ``map`` and :func:`as_completed` ride on top.
@@ -27,23 +27,23 @@ queries against it — so this module keeps the workers *resident*:
   request for a key it no longer holds (LRU eviction, or a fresh process
   after a crash) triggers a targeted reinstall rather than an error.
 * ``close()`` (also via the context-manager protocol) drains outstanding
-  jobs, stops every worker, and releases the queues and any shared-memory
-  blocks; a closed service rejects new submissions with :class:`ServiceClosed`.
+  jobs, stops every worker, and releases the queues; a closed service
+  rejects new submissions with :class:`ServiceClosed`.
 
 Failure handling forms a ladder rather than a single recovery path:
 
-* **Retry with backoff.**  A task attempt lost to a worker death, a lost
-  result message, or a shared-memory attach failure is re-dispatched after
-  an exponential backoff (``service_retry_backoff_s`` doubling per attempt),
-  up to ``service_task_attempts`` total attempts before the job fails.
+* **Retry with backoff.**  A task attempt lost to a worker death or a
+  lost result message is re-dispatched after an exponential backoff
+  (``service_retry_backoff_s`` doubling per attempt), up to
+  ``service_task_attempts`` total attempts before the job fails.
 * **Stall detection.**  Workers post heartbeats (``service_heartbeat_s``)
   carrying the task they are currently executing; a worker wedged inside one
   task for longer than ``service_stall_timeout_s`` is killed and respawned —
   death detection alone never notices a hung-but-alive process.  The same
   clock recovers *lost results*: a worker heartbeating as idle while the
   parent still counts a long-dispatched task against it gets that task
-  re-dispatched (a duplicate execution writes identical bytes to disjoint
-  columns, so late twins are harmless).
+  re-dispatched (a duplicate execution returns identical bytes for the
+  same columns, so late twins are harmless).
 * **Per-job deadlines.**  ``submit(..., timeout=...)`` fails the job's
   future with :class:`~repro.engine.faults.DeadlineExceeded` once the
   deadline passes, whatever state its tasks are in.
@@ -59,8 +59,8 @@ live plan and asserts the results still match serial evaluation bit for bit.
 
 The service never changes results: every task is ``program.run`` over a
 column range, which is columnwise independent, so outputs are bit-identical
-to serial evaluation whatever the sharding, transport, interleaving, or
-injected faults.
+to serial evaluation whatever the sharding, interleaving, or injected
+faults.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ from collections import OrderedDict
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from multiprocessing import get_context
-from multiprocessing.shared_memory import SharedMemory
 from queue import Empty
 from typing import Dict, Iterable, Iterator, List, Optional, Set
 
@@ -110,8 +109,8 @@ class ServiceStats:
     A *view* over the service's metrics registry: the same numbers are
     available as ``service.*`` counter series in telemetry snapshots.  The
     snapshot is taken atomically under the dispatcher lock, so the fields
-    are mutually consistent (``shm_jobs <= jobs``, etc.) even while jobs are
-    being submitted and completed concurrently.
+    are mutually consistent (a healthy service never shows ``jobs > tasks``,
+    etc.) even while jobs are being submitted and completed concurrently.
     """
 
     workers: int
@@ -119,13 +118,11 @@ class ServiceStats:
     tasks: int
     installs: int
     reinstalls: int
-    shm_jobs: int
     worker_restarts: int
     retries: int = 0
     stall_kills: int = 0
     deadline_failures: int = 0
     protocol_errors: int = 0
-    shm_fallbacks: int = 0
     retired_workers: int = 0
     degraded_jobs: int = 0
     degraded: bool = False
@@ -138,13 +135,11 @@ class ServiceStats:
             "tasks": self.tasks,
             "installs": self.installs,
             "reinstalls": self.reinstalls,
-            "shm_jobs": self.shm_jobs,
             "worker_restarts": self.worker_restarts,
             "retries": self.retries,
             "stall_kills": self.stall_kills,
             "deadline_failures": self.deadline_failures,
             "protocol_errors": self.protocol_errors,
-            "shm_fallbacks": self.shm_fallbacks,
             "retired_workers": self.retired_workers,
             "degraded_jobs": self.degraded_jobs,
             "degraded": self.degraded,
@@ -210,16 +205,6 @@ def transform_executor() -> ThreadPoolExecutor:
 
 
 # ----------------------------------------------------------------- worker side
-class _ShmAttachError(RuntimeError):
-    """A shared-memory attach failed (segment gone, or an injected fault).
-
-    Reported to the parent as a ``shm_error`` rather than a plain ``error``:
-    the *task* is retryable — and after repeated attach failures the parent
-    falls the whole job back to pickle transport — whereas a plain error
-    fails the job.
-    """
-
-
 class _WorkerFaultState:
     """Worker-process-local application of a :class:`FaultPlan`.
 
@@ -229,14 +214,13 @@ class _WorkerFaultState:
     test/soak worker processes — production workers carry ``None``.
     """
 
-    __slots__ = ("plan", "registry", "executed", "installs_seen", "shm_failures_left")
+    __slots__ = ("plan", "registry", "executed", "installs_seen")
 
     def __init__(self, plan: FaultPlan, registry) -> None:
         self.plan = plan
         self.registry = registry
         self.executed = 0
         self.installs_seen = 0
-        self.shm_failures_left = plan.shm_attach_failures
 
     def _hit(self, kind: str) -> None:
         if self.registry is not None:
@@ -264,13 +248,6 @@ class _WorkerFaultState:
             self._hit("kill_after")
             os._exit(3)
 
-    def take_shm_failure(self) -> bool:
-        if self.shm_failures_left > 0:
-            self.shm_failures_left -= 1
-            self._hit("shm_attach")
-            return True
-        return False
-
     def drop_result(self) -> bool:
         if self.executed in self.plan.drop_result_tasks:
             self._hit("drop_result")
@@ -286,62 +263,6 @@ class _WorkerFaultState:
     def delay_result(self) -> None:
         if self.plan.delay_result_s > 0:
             time.sleep(self.plan.delay_result_s)
-
-
-def _attach_block(name: str, fault_state: Optional[_WorkerFaultState] = None) -> SharedMemory:
-    """Attach to a parent-owned shared-memory block without claiming it.
-
-    On Python < 3.13 attaching registers the segment with the resource
-    tracker as if this process owned it, which makes worker exits unlink (or
-    warn about) blocks the parent still manages; unregister defensively.
-    """
-    if fault_state is not None and fault_state.take_shm_failure():
-        raise _ShmAttachError(f"injected shared-memory attach failure for {name!r}")
-    try:
-        block = SharedMemory(name=name)
-    except FileNotFoundError as exc:
-        # The parent unlinked the block (job failed elsewhere, or fell back
-        # to pickle transport mid-flight): retryable, not a job failure.
-        raise _ShmAttachError(f"shared-memory block {name!r} is gone") from exc
-    try:  # pragma: no cover - depends on interpreter version details
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(block._name, "shared_memory")
-    except Exception:
-        pass
-    return block
-
-
-def _execute_task(program, payload, fault_state: Optional[_WorkerFaultState] = None):
-    """Run one task payload; returns the run result for pickle transport,
-    else None (the result columns went into the job's result block)."""
-    kind = payload[0]
-    if kind == "pickle":
-        _, chunk, keep_nodes = payload
-        return program.run(chunk, keep_nodes)
-    # ("shm", in_name, in_shape, in_dtype, out_name, batch, start, stop, keep_nodes)
-    _, in_name, in_shape, in_dtype, out_name, batch, start, stop, keep_nodes = payload
-    in_block = None
-    out_block = None
-    try:
-        # Attach inside the try: if the parent unlinked the job's blocks
-        # between the two attaches (sibling task failed the job), the first
-        # mapping must still be closed — a leaked mapping in a resident
-        # worker pins the freed segment's memory for the worker's lifetime.
-        in_block = _attach_block(in_name, fault_state)
-        out_block = _attach_block(out_name, fault_state)
-        inputs = np.ndarray(in_shape, dtype=np.dtype(in_dtype), buffer=in_block.buf)
-        result = ResultBlock(program, batch, keep_nodes, buffer=out_block.buf)
-        result.write(start, stop, program.run(inputs[:, start:stop], keep_nodes))
-        # Views into the buffers must be gone before close() or the memoryview
-        # export check raises BufferError.
-        del inputs, result
-    finally:
-        if in_block is not None:
-            in_block.close()
-        if out_block is not None:
-            out_block.close()
-    return None
 
 
 def _discard_queue(queue) -> None:
@@ -360,17 +281,10 @@ def _discard_queue(queue) -> None:
         pass
 
 
-def _payload_bytes(program, payload, reply) -> int:
-    """Transport bytes one task moved: the input columns it read plus the
-    result arrays it sends back (pickle) or the result columns it wrote in
-    place (shm)."""
-    if payload[0] == "pickle":
-        sent = sum(array.nbytes for array in reply if array is not None)
-        return int(payload[1].nbytes + sent)
-    _, _, in_shape, in_dtype, _, _, start, stop, keep_nodes = payload
-    width = stop - start
-    in_bytes = in_shape[0] * width * np.dtype(in_dtype).itemsize
-    return int(in_bytes + ResultBlock.nbytes(program, width, keep_nodes))
+def _transport_bytes(chunk, reply) -> int:
+    """Transport bytes one task moved: the input columns it was sent plus
+    the result arrays it sends back."""
+    return int(chunk.nbytes + sum(array.nbytes for array in reply if array is not None))
 
 
 def _drain_delta(registry: Optional[MetricsRegistry]) -> Optional[dict]:
@@ -472,8 +386,8 @@ def _service_worker_main(
                 if registry is not None:
                     registry.counter("worker.store_evictions").inc()
             continue
-        # ("run", task_id, key, payload, dispatched_at)
-        _, task_id, key, payload, dispatched_at = message
+        # ("run", task_id, key, chunk, keep_nodes, dispatched_at)
+        _, task_id, key, chunk, keep_nodes, dispatched_at = message
         program = store.get(key)
         if (
             program is None
@@ -514,15 +428,15 @@ def _service_worker_main(
                     )
                 registry.counter("worker.tasks").inc()
                 start = time.perf_counter()
-                chunk = _execute_task(program, payload, faults)
+                reply = program.run(chunk, keep_nodes)
                 registry.histogram("worker.task_s").observe(
                     time.perf_counter() - start
                 )
-                registry.counter(
-                    "worker.shm_bytes" if payload[0] == "shm" else "worker.pickle_bytes"
-                ).inc(_payload_bytes(program, payload, chunk))
+                registry.counter("worker.pickle_bytes").inc(
+                    _transport_bytes(chunk, reply)
+                )
             else:
-                chunk = _execute_task(program, payload, faults)
+                reply = program.run(chunk, keep_nodes)
             if faults is not None:
                 faults.kill_after()
                 faults.delay_result()
@@ -531,11 +445,7 @@ def _service_worker_main(
                 if faults.corrupt_result():
                     results.put(("corrupt-message",))
                     continue
-            results.put((worker_id, "done", task_id, chunk, _drain_delta(registry)))
-        except _ShmAttachError as exc:
-            results.put(
-                (worker_id, "shm_error", task_id, repr(exc), _drain_delta(registry))
-            )
+            results.put((worker_id, "done", task_id, reply, _drain_delta(registry)))
         except BaseException as exc:
             detail = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
             results.put(
@@ -588,16 +498,6 @@ class _Worker:
         self.running: Optional[tuple] = None
 
 
-#: Default bound on attempts per task (see
-#: ``EngineConfig.service_task_attempts``, which overrides it), counting
-#: missing-program reports (e.g. a program that cannot be pickled into the
-#: worker, which only surfaces asynchronously in the queue's feeder thread),
-#: re-dispatches after worker deaths, lost results, and shm attach failures:
-#: a task that deterministically kills its worker (OOM, native segfault)
-#: must fail the job instead of respawning forever.
-_MAX_TASK_ATTEMPTS = 5
-
-
 class _Task:
     # No back-reference to the dispatched worker: result handling must
     # attribute reports to the *reporting* worker id (a task may have been
@@ -625,14 +525,10 @@ class _Job:
         "program",
         "key",
         "inputs",
-        "in_shape",
-        "in_dtype",
         "keep_nodes",
         "batch",
         "pending",
         "out",
-        "in_shm",
-        "out_shm",
         "done",
         "started_at",
         "counted",
@@ -644,15 +540,11 @@ class _Job:
         self.future = future
         self.program = program
         self.key = key
-        self.inputs = inputs  # retained for pickle-mode (re-)dispatch; None for shm
-        self.in_shape = inputs.shape
-        self.in_dtype = str(inputs.dtype)
+        self.inputs = inputs  # the job's own copy, sliced at every (re-)dispatch
         self.keep_nodes = keep_nodes
         self.batch = batch
         self.pending: set = set()
-        self.out: Optional[ResultBlock] = None  # pickle-mode assembly
-        self.in_shm: Optional[SharedMemory] = None
-        self.out_shm: Optional[SharedMemory] = None
+        self.out: Optional[ResultBlock] = ResultBlock(program, batch, keep_nodes)
         self.done = False
         self.started_at: Optional[float] = None  # submit stamp (telemetry only)
         self.counted = False  # included in the outstanding-jobs gauge
@@ -668,13 +560,12 @@ class EvaluationService:
     config:
         The engine configuration supplying every knob the service honors:
         ``max_workers`` (pool width; values < 2 still run one resident
-        worker), ``chunk_size`` / column sharding, ``shared_memory_min_bytes``
-        (transport cutover), ``service_queue_depth`` (bound on outstanding
-        jobs; further ``submit`` calls block) and ``service_store_size``
-        (per-worker LRU program-store capacity).
+        worker), ``chunk_size`` / column sharding, ``service_queue_depth``
+        (bound on outstanding jobs; further ``submit`` calls block) and
+        ``service_store_size`` (per-worker LRU program-store capacity).
     context:
         Optional ``multiprocessing`` context; defaults to the platform
-        default (fork on Linux, matching the per-call scheduler pool).
+        default (fork on Linux).
     registry:
         Optional metrics registry the service records into.  By default the
         process-global registry is used when telemetry is enabled; when it is
@@ -762,15 +653,12 @@ class EvaluationService:
         self._c_installs = metrics.counter("service.installs")
         self._c_reinstalls = metrics.counter("service.reinstalls")
         self._c_disk_skipped = metrics.counter("service.disk_skipped_installs")
-        self._c_shm_jobs = metrics.counter("service.shm_jobs")
         self._c_restarts = metrics.counter("service.worker_restarts")
-        self._c_shm_bytes = metrics.counter("service.shm_bytes")
         self._c_pickle_bytes = metrics.counter("service.pickle_bytes")
         self._c_retries = metrics.counter("service.retries")
         self._c_stall_kills = metrics.counter("service.stall_kills")
         self._c_deadline_failures = metrics.counter("service.deadline_failures")
         self._c_protocol_errors = metrics.counter("service.protocol_errors")
-        self._c_shm_fallbacks = metrics.counter("service.shm_fallbacks")
         self._c_retired = metrics.counter("service.retired_workers")
         self._c_degraded_jobs = metrics.counter("service.degraded_jobs")
         self._g_degraded = metrics.gauge("service.degraded")
@@ -898,7 +786,7 @@ class EvaluationService:
 
         Taken under the dispatcher lock — the same lock every counter update
         is performed under — so the fields cannot tear against a concurrent
-        ``submit`` (e.g. ``jobs`` incremented but ``shm_jobs`` not yet).
+        ``submit`` (e.g. ``jobs`` incremented but its ``tasks`` not yet).
         """
         with self._lock:
             return ServiceStats(
@@ -907,13 +795,11 @@ class EvaluationService:
                 tasks=self._c_tasks.value,
                 installs=self._c_installs.value,
                 reinstalls=self._c_reinstalls.value,
-                shm_jobs=self._c_shm_jobs.value,
                 worker_restarts=self._c_restarts.value,
                 retries=self._c_retries.value,
                 stall_kills=self._c_stall_kills.value,
                 deadline_failures=self._c_deadline_failures.value,
                 protocol_errors=self._c_protocol_errors.value,
-                shm_fallbacks=self._c_shm_fallbacks.value,
                 retired_workers=self._c_retired.value,
                 degraded_jobs=self._c_degraded_jobs.value,
                 degraded=self._degraded,
@@ -957,6 +843,8 @@ class EvaluationService:
         ``(structural_hash, backend)`` — so repeated submissions reuse the
         per-worker installs; omitted keys are derived per program object.
         Blocks while ``service_queue_depth`` jobs are already outstanding.
+        The job keeps its own copy of ``inputs``: the caller may overwrite
+        its array once ``submit`` returns.
 
         ``timeout`` (seconds) is a per-job deadline: once it passes, the
         future fails with :class:`~repro.engine.faults.DeadlineExceeded`
@@ -1000,28 +888,19 @@ class EvaluationService:
                 future, program, inputs, chunk_size, deadline, keep_nodes
             )
         ranges = list(iter_column_chunks(batch, chunk_size))
-        self._job_slots.acquire()
-        job = _Job(future, program, key, inputs, keep_nodes, batch)
+        # The request queues' feeder threads pickle each chunk after
+        # ``submit`` returns, and retries slice the block again: both must
+        # read the job's own copy, never the caller's array.
+        job = _Job(future, program, key, inputs.copy(), keep_nodes, batch)
         job.deadline = deadline
+        self._job_slots.acquire()
         try:
-            use_shm = inputs.nbytes >= self.config.shared_memory_min_bytes
-            if use_shm:
-                try:
-                    self._setup_shared_memory(job, inputs)
-                except (OSError, ValueError):  # no /dev/shm or exhausted space
-                    use_shm = False
-            if not use_shm:
-                job.out = ResultBlock(program, batch, keep_nodes)
             with self._lock:
                 if self._closing or self._closed:
                     raise ServiceClosed("cannot submit to a closed service")
                 self._c_jobs.inc()
-                # The input block each job ships out, on either transport.
-                if job.in_shm is not None:
-                    self._c_shm_jobs.inc()
-                    self._c_shm_bytes.inc(int(inputs.nbytes))
-                else:
-                    self._c_pickle_bytes.inc(int(inputs.nbytes))
+                # The input block each job ships out.
+                self._c_pickle_bytes.inc(int(inputs.nbytes))
                 if self._telemetry:
                     job.started_at = time.perf_counter()
                 job.counted = True
@@ -1109,25 +988,6 @@ class EvaluationService:
         for future in futures:
             yield future.result()
 
-    def _setup_shared_memory(self, job: _Job, inputs: np.ndarray) -> None:
-        in_shm = SharedMemory(create=True, size=max(1, inputs.nbytes))
-        try:
-            out_shm = SharedMemory(
-                create=True,
-                size=max(1, ResultBlock.nbytes(job.program, job.batch, job.keep_nodes)),
-            )
-        except BaseException:
-            in_shm.close()
-            in_shm.unlink()
-            raise
-        staged = np.ndarray(inputs.shape, dtype=inputs.dtype, buffer=in_shm.buf)
-        staged[:] = inputs
-        del staged
-        job.in_shm = in_shm
-        job.out_shm = out_shm
-        # The block now owns the data; dispatch only needs shape and dtype.
-        job.inputs = None
-
     # -------------------------------------------------------------- dispatch
     def _dispatch(self, task: _Task) -> None:
         """Send one task to the least-loaded live worker (lock held).
@@ -1163,12 +1023,14 @@ class EvaluationService:
             # Injected dispatch loss: all the bookkeeping, no request — the
             # lost-result clock must notice and re-dispatch.
             return
+        job = task.job
         worker.requests.put(
             (
                 "run",
                 task.task_id,
-                task.job.key,
-                self._payload_for(task),
+                job.key,
+                job.inputs[:, task.start : task.stop],
+                job.keep_nodes,
                 time.time() if self._telemetry else None,
             )
         )
@@ -1196,22 +1058,6 @@ class EvaluationService:
             )
             return
         self._retry_later(task)
-
-    def _payload_for(self, task: _Task) -> tuple:
-        job = task.job
-        if job.in_shm is not None:
-            return (
-                "shm",
-                job.in_shm.name,
-                job.in_shape,
-                job.in_dtype,
-                job.out_shm.name,
-                job.batch,
-                task.start,
-                task.stop,
-                job.keep_nodes,
-            )
-        return ("pickle", job.inputs[:, task.start : task.stop], job.keep_nodes)
 
     def _artifact_resident(self, key) -> bool:
         """Whether the artifact store holds this key (memoized positives).
@@ -1325,38 +1171,6 @@ class EvaluationService:
             if task.task_id not in backlogged:
                 self._serial_backlog.append(task)
 
-    def _convert_job_to_pickle(self, job: _Job) -> None:
-        """Move a shared-memory job onto pickle transport (lock held).
-
-        Copies the staged inputs and any already-written result columns out
-        of the blocks, then closes and unlinks both — exactly once; tasks
-        still holding shm payloads hit :class:`_ShmAttachError` on their next
-        attach and retry with pickle payloads, and results of tasks already
-        *past* attach are recognized (shm-shaped report against a
-        pickle-mode job) and re-run rather than trusted.
-        """
-        if job.in_shm is None:
-            return
-        in_block, out_block = job.in_shm, job.out_shm
-        job.inputs = np.ndarray(
-            job.in_shape, dtype=np.dtype(job.in_dtype), buffer=in_block.buf
-        ).copy()
-        job.out = ResultBlock(
-            job.program,
-            job.batch,
-            job.keep_nodes,
-            buffer=np.frombuffer(out_block.buf, dtype=np.uint8).copy(),
-        )
-        job.in_shm = None
-        job.out_shm = None
-        for block in (in_block, out_block):
-            try:
-                block.close()
-                block.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
-        self._c_shm_fallbacks.inc()
-
     def _drain_serial_backlog(self) -> None:
         """Run backlogged tasks in-process (dispatcher thread, lock dropped per task).
 
@@ -1372,7 +1186,6 @@ class EvaluationService:
                 if task.task_id not in self._tasks or task.job.done:
                     continue
                 job = task.job
-                self._convert_job_to_pickle(job)
                 if not job.degraded:
                     job.degraded = True
                     self._c_degraded_jobs.inc()
@@ -1505,8 +1318,8 @@ class EvaluationService:
                     # yet reports itself past (or never on) this old task:
                     # the request or the result went missing.  Worst case it
                     # is merely queued behind slow siblings and runs twice —
-                    # duplicate executions write identical bytes to disjoint
-                    # columns, so retrying is always safe.
+                    # duplicate executions return identical bytes for the
+                    # same columns, so retrying is always safe.
                     if (
                         now - task.dispatched_at > self._stall_timeout_s
                         and worker.last_beat_at > task.dispatched_at + self._heartbeat_s
@@ -1578,21 +1391,6 @@ class EvaluationService:
                 return
             self._dispatch(task)
             return
-        if kind == "shm_error":
-            # Shared-memory attach failed (block gone, /dev/shm hiccup, or
-            # injected).  First failure: plain retry — it may be transient.
-            # Repeated failure: move the whole job onto pickle transport
-            # before retrying, so the job cannot starve on a broken segment.
-            if task.attempts >= 1:
-                self._convert_job_to_pickle(task.job)
-            self._task_attempt_failed(task, "shared-memory attach failures")
-            return
-        if kind == "done" and payload is None and task.job.in_shm is None:
-            # A shm-transport result for a job that has since fallen back to
-            # pickle: the columns went into an unlinked block nobody will
-            # read.  Re-run rather than silently accept missing data.
-            self._task_attempt_failed(task, "a stale shared-memory write")
-            return
         self._tasks.pop(task_id, None)
         if kind == "error":
             name, detail = payload
@@ -1622,18 +1420,12 @@ class EvaluationService:
 
     def _complete_task(self, task: _Task, payload) -> None:
         job = task.job
-        if job.out is not None and payload is not None:
-            job.out.write(task.start, task.stop, payload)
+        job.out.write(task.start, task.stop, payload)
         job.pending.discard(task.task_id)
         if job.pending:
             return
         job.done = True
-        if job.out_shm is not None:
-            result = ResultBlock(
-                job.program, job.batch, job.keep_nodes, buffer=job.out_shm.buf
-            ).result(copy=True)
-        else:
-            result = job.out.result()
+        result = job.out.result()
         if job.started_at is not None:
             self._metrics.histogram("service.job_s").observe(
                 time.perf_counter() - job.started_at
@@ -1664,15 +1456,6 @@ class EvaluationService:
 
     @staticmethod
     def _release_job_resources(job: _Job) -> None:
-        for block in (job.in_shm, job.out_shm):
-            if block is not None:
-                try:
-                    block.close()
-                    block.unlink()
-                except (FileNotFoundError, OSError):  # pragma: no cover
-                    pass
-        job.in_shm = None
-        job.out_shm = None
         job.inputs = None
         job.out = None
 

@@ -53,13 +53,11 @@ _MONOTONE_STATS = (
     "tasks",
     "installs",
     "reinstalls",
-    "shm_jobs",
     "worker_restarts",
     "retries",
     "stall_kills",
     "deadline_failures",
     "protocol_errors",
-    "shm_fallbacks",
     "retired_workers",
     "degraded_jobs",
 )
@@ -130,18 +128,17 @@ class SoakReport:
 def default_soak_config(**overrides) -> EngineConfig:
     """The service configuration soak runs use unless told otherwise.
 
-    Small chunks and a low shared-memory threshold maximize tasks (hence
-    fault-injection points) per second; fast heartbeats and a short stall
-    timeout make wedge recovery visible within a seconds-long run; and the
-    attempt/respawn budgets are generous because the soak contract is that
-    every injected fault is *recovered from* — budget exhaustion is the
-    degradation test's job, not the soak's.
+    Small chunks maximize tasks (hence fault-injection points) per second;
+    fast heartbeats and a short stall timeout make wedge recovery visible
+    within a seconds-long run; and the attempt/respawn budgets are generous
+    because the soak contract is that every injected fault is *recovered
+    from* — budget exhaustion is the degradation test's job, not the
+    soak's.
     """
     base = dict(
         max_workers=2,
         chunk_size=8,
         parallel_threshold=1,
-        shared_memory_min_bytes=256,
         service_queue_depth=16,
         service_heartbeat_s=0.1,
         service_stall_timeout_s=1.0,
@@ -196,9 +193,8 @@ def _build_families(engine: Engine, rng: np.random.Generator, n_batches: int):
         families.append(_Family(name, program, key, batches, keep_nodes))
 
     parity = _parity_circuit(6)
-    # Mixed widths straddle the shm threshold of default_soak_config, so
-    # both transports (and the fallback between them) stay exercised, for
-    # outputs-only results and for kept node values alike.
+    # Mixed widths cut jobs into one to a dozen tasks of default_soak_config,
+    # for outputs-only results and for kept node values alike.
     add("parity6-sparse-nodes", parity, "sparse", widths=(5, 24, 96), keep_nodes=True)
     add("parity6-dense", parity, "dense", widths=(8, 64))
     add("parity6-exact", parity, "exact", widths=(16,))

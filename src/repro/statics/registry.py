@@ -68,12 +68,10 @@ GUARDED_CLASSES: Dict[str, LockSpec] = {
                 "_dispatch",
                 "_retry_later",
                 "_task_attempt_failed",
-                "_payload_for",
                 "_install_if_needed",
                 "_artifact_resident",
                 "_respawn_worker",
                 "_enter_degraded",
-                "_convert_job_to_pickle",
                 "_on_tick",
                 "_check_workers",
                 "_handle_result",

@@ -22,8 +22,8 @@ from repro.engine import (
     EngineConfig,
     compute_spike_trace,
     default_engine,
-    evaluate_batched,
     iter_column_chunks,
+    run_serial,
     select_backend_name,
     set_default_engine,
 )
@@ -558,16 +558,15 @@ class TestScheduler:
         serial = Engine().evaluate(circuit, batch, keep_nodes=True)
         assert (result.node_values == serial.node_values).all()
 
-    def test_evaluate_batched_direct(self, rng):
+    def test_run_serial_direct(self, rng):
         circuit = parity_circuit(5)
         engine = Engine()
         program = engine.compile(circuit, backend="sparse")
         batch = rng.integers(0, 2, size=(5, 13))
         expected = slow_reference(circuit, batch)
-        config = EngineConfig(chunk_size=4)
-        kept = evaluate_batched(program, batch, config, keep_nodes=True)
+        kept = run_serial(program, batch, chunk_size=4, keep_nodes=True)
         assert (kept.nodes == expected).all()
-        outputs, energy, nodes = evaluate_batched(program, batch, config)
+        outputs, energy, nodes = run_serial(program, batch, chunk_size=4)
         assert nodes is None
         assert (outputs == expected[circuit.outputs]).all()
         assert (energy == expected[circuit.n_inputs :].sum(axis=0)).all()
@@ -801,14 +800,15 @@ class TestZeroWidthBatches:
         assert kept.node_values.shape == (circuit.n_nodes, 0)
         assert kept.node_values.dtype == np.int8
 
-    def test_evaluate_batched_zero_width_all_backends(self):
+    def test_run_serial_zero_width_all_backends(self):
         circuit = parity_circuit(3)
+        empty = np.zeros((3, 0), dtype=np.int8)
         for backend in BACKENDS:
             engine = Engine(EngineConfig(backend=backend))
-            result = engine.evaluate(
-                circuit, np.zeros((3, 0), dtype=np.int8), keep_nodes=True
-            )
+            result = engine.evaluate(circuit, empty, keep_nodes=True)
             assert result.node_values.shape == (circuit.n_nodes, 0)
+            direct = run_serial(engine.compile(circuit), empty, chunk_size=4)
+            assert direct.outputs.shape == (1, 0) and direct.nodes is None
 
     def test_trace_evaluate_batch_empty(self):
         from repro.core.trace_circuit import build_trace_circuit
@@ -840,7 +840,6 @@ class TestConfigValidation:
             ("dense_density", float("nan")),
             ("template_min_cover", -0.1),
             ("template_min_cover", 1.1),
-            ("shared_memory_min_bytes", -1),
             ("service_queue_depth", 0),
             ("service_queue_depth", -2),
             ("service_store_size", 0),
@@ -861,21 +860,10 @@ class TestConfigValidation:
         config = EngineConfig(
             parallel_threshold=1,
             dense_node_limit=0,
-            shared_memory_min_bytes=0,
             service_queue_depth=1,
             service_store_size=1,
         )
         assert config.service_store_size == 1
-
-
-class TestSchedulerWorkerGuard:
-    def test_uninitialized_worker_raises_runtime_error(self, monkeypatch):
-        # A RuntimeError, not an assert: the guard must survive ``python -O``.
-        from repro.engine import scheduler
-
-        monkeypatch.setattr(scheduler, "_WORKER_PROGRAM", None)
-        with pytest.raises(RuntimeError, match="before initialization"):
-            scheduler._worker_run(np.zeros((2, 1), dtype=np.int8))
 
 
 class TestActivityPlanMemoization:

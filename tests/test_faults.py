@@ -3,13 +3,11 @@
 Every test here follows the same shape: activate a :class:`FaultPlan`
 through ``EngineConfig(fault_plan=...)``, push real work through a resident
 service, and require *bit-identical* results plus the expected recovery
-counters — faults may cost retries, respawns, transport downgrades, or
-degradation, never bytes.  Where a fault reassembles a result (duplicate
-executions, the shm-to-pickle conversion, degraded mode), both result
-shapes are checked against ``evaluate_slow`` (INV-12).
+counters — faults may cost retries, respawns, or degradation, never
+bytes.  Where a fault reassembles a result (duplicate executions, degraded
+mode), both result shapes are checked against ``evaluate_slow`` (INV-12).
 """
 
-import os
 import time
 
 import numpy as np
@@ -96,11 +94,15 @@ class TestFaultPlan:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             FaultPlan.from_dict({"explode_on_tuesdays": True})
+        # The fault of the removed shared-memory transport is unknown too:
+        # a plan naming it is rejected, not silently ignored.
+        with pytest.raises(ValueError, match="unknown.*shm_attach_failures"):
+            FaultPlan.from_dict({"shm_attach_failures": 2})
 
     def test_env_round_trip(self, monkeypatch):
         monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
         assert fault_plan_from_env() is None
-        plan = FaultPlan(install_failures=1, shm_attach_failures=2)
+        plan = FaultPlan(install_failures=1, artifact_crash_writes=2)
         monkeypatch.setenv(FAULTS_ENV_VAR, plan.to_json())
         assert fault_plan_from_env() == plan
 
@@ -131,30 +133,6 @@ class TestWorkerKills:
         assert same_run(result, slow_run(batch, keep_nodes))
         assert stats.worker_restarts >= 1
         assert stats.retries >= 1
-
-    def test_shm_job_survives_worker_kill_without_leaking(self, compiled, rng):
-        # In-flight shared-memory job across a worker death: the re-dispatched
-        # task re-attaches (or falls back), and the blocks are unlinked once.
-        config = fast_recovery_config(
-            shared_memory_min_bytes=64,
-            fault_plan=FaultPlan(kill_after_task=1, workers=(0,)),
-        )
-        batch = rng.integers(0, 2, size=(6, 64))
-        before = set(_shm_blocks())
-        with EvaluationService(config) as service:
-            result = service.evaluate(compiled, batch)
-            stats = service.stats()
-        assert same_run(result, compiled.run(batch))
-        assert stats.shm_jobs >= 1
-        assert stats.worker_restarts >= 1
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            leaked = set(_shm_blocks()) - before
-            if not leaked:
-                break
-            time.sleep(0.05)
-        assert not leaked, f"leaked shared-memory blocks: {sorted(leaked)}"
-
 
 class TestLostAndCorruptedMessages:
     @pytest.mark.parametrize("keep_nodes", [False, True])
@@ -266,26 +244,6 @@ class TestStallsAndDeadlines:
 
 
 class TestTransportAndInstallFaults:
-    @pytest.mark.parametrize("keep_nodes", [False, True])
-    def test_shm_attach_failures_fall_back_to_pickle(self, compiled, rng, keep_nodes):
-        # One worker whose every attach fails: the first failure of a task is
-        # retried as-is (may be transient), its second failure converts the
-        # whole job to pickle transport, which then completes.  (With spare
-        # workers and a small failure budget, distinct tasks would each fail
-        # once and plain retries would absorb everything.)
-        config = fast_recovery_config(
-            max_workers=1,
-            shared_memory_min_bytes=64,
-            fault_plan=FaultPlan(shm_attach_failures=100),
-        )
-        batch = rng.integers(0, 2, size=(6, 64))
-        with EvaluationService(config) as service:
-            result = service.evaluate(compiled, batch, keep_nodes=keep_nodes)
-            stats = service.stats()
-        assert same_run(result, slow_run(batch, keep_nodes))
-        assert stats.shm_jobs >= 1
-        assert stats.shm_fallbacks >= 1
-
     def test_dropped_install_triggers_reinstall(self, compiled, rng):
         config = fast_recovery_config(fault_plan=FaultPlan(install_failures=1))
         batch = rng.integers(0, 2, size=(6, 24))
@@ -330,26 +288,6 @@ class TestDegradation:
         assert stats.workers == 0
         assert stats.retired_workers == 2
         assert final.degraded_jobs >= 2
-
-    @pytest.mark.parametrize("keep_nodes", [False, True])
-    def test_degraded_shm_job_converts_and_unlinks(self, compiled, rng, keep_nodes):
-        before = set(_shm_blocks())
-        config = fast_recovery_config(
-            service_respawn_budget=0,
-            shared_memory_min_bytes=64,
-            fault_plan=FaultPlan(kill_before_task=1),
-        )
-        batch = rng.integers(0, 2, size=(6, 64))
-        with EvaluationService(config) as service:
-            result = service.evaluate(compiled, batch, keep_nodes=keep_nodes)
-        assert same_run(result, slow_run(batch, keep_nodes))
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            leaked = set(_shm_blocks()) - before
-            if not leaked:
-                break
-            time.sleep(0.05)
-        assert not leaked, f"leaked shared-memory blocks: {sorted(leaked)}"
 
     def test_respawn_budget_bounds_restarts(self, compiled, rng):
         config = fast_recovery_config(
@@ -402,10 +340,7 @@ class TestBoundedClose:
 
 class TestAggressivePlanEndToEnd:
     def test_everything_at_once_stays_bit_identical(self, compiled, rng):
-        config = fast_recovery_config(
-            shared_memory_min_bytes=256,
-            fault_plan=aggressive_plan(),
-        )
+        config = fast_recovery_config(fault_plan=aggressive_plan())
         batches = [rng.integers(0, 2, size=(6, 40)) for _ in range(4)]
         with EvaluationService(config) as service:
             futures = [service.submit(compiled, batch) for batch in batches]
@@ -413,10 +348,3 @@ class TestAggressivePlanEndToEnd:
         for batch, result in zip(batches, results):
             assert same_run(result, compiled.run(batch))
 
-
-def _shm_blocks():
-    try:
-        names = os.listdir("/dev/shm")
-    except OSError:
-        return []
-    return [name for name in names if name.startswith("psm_")]

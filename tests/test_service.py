@@ -1,10 +1,10 @@
 """Concurrency and lifecycle tests for the persistent evaluation service.
 
-The invariant underneath everything: whatever the sharding, transport
-(pickle vs shared memory), interleaving, eviction, or worker crashes, the
-service returns outputs and energy (and, when asked, node values)
-bit-identical to serial evaluation — every task is ``program.run`` over an
-independent column range.
+The invariant underneath everything: whatever the sharding, interleaving,
+eviction, or worker crashes, the service returns outputs and energy (and,
+when asked, node values) bit-identical to serial evaluation of the inputs
+as submitted — every task is ``program.run`` over an independent column
+range.
 """
 
 import numpy as np
@@ -17,6 +17,8 @@ from repro.engine import (
     Engine,
     EngineConfig,
     EvaluationService,
+    FaultPlan,
+    RunResult,
     ServiceClosed,
     as_completed,
     chain_future,
@@ -171,17 +173,13 @@ class TestSubmission:
             # Two distinct programs, each installed at most once per worker.
             assert stats.installs <= stats.workers * 2
 
-    @pytest.mark.parametrize("shm_min_bytes", [1, 1 << 30], ids=["shm", "pickle"])
-    def test_outputs_only_matches_kept_nodes_and_evaluate_slow(
-        self, parity6, rng, shm_min_bytes
-    ):
-        # INV-12 on both transports: a job's outputs and energy equal those
-        # of the kept node matrix and of evaluate_slow, on every backend.
+    def test_outputs_only_matches_kept_nodes_and_evaluate_slow(self, parity6, rng):
+        # INV-12: a job's outputs and energy equal those of the kept node
+        # matrix and of evaluate_slow, on every backend.
         batch = rng.integers(0, 2, size=(6, 19))
         expected = slow_reference(parity6, batch)
         engine = Engine()
-        config = service_config(shared_memory_min_bytes=shm_min_bytes)
-        with EvaluationService(config) as service:
+        with EvaluationService(service_config()) as service:
             for backend in BACKENDS:
                 program = engine.compile(parity6, backend=backend)
                 key = (parity6.structural_hash(), backend)
@@ -192,25 +190,50 @@ class TestSubmission:
                 for got in (result, kept):
                     assert (got.outputs == expected[parity6.outputs]).all(), backend
                     assert (got.energy == expected[6:].sum(axis=0)).all(), backend
-            assert service.stats().shm_jobs == (6 if shm_min_bytes == 1 else 0)
 
 
-class TestSharedMemory:
-    def test_shared_memory_path_bit_identical(self, compiled, rng):
-        batch = rng.integers(0, 2, size=(6, 40))
-        config = service_config(shared_memory_min_bytes=1)
-        with EvaluationService(config) as service:
-            result = service.evaluate(compiled, batch)
-            assert service.stats().shm_jobs == 1
-        assert same_run(result, compiled.run(batch))
-
-    def test_pickle_fallback_below_threshold(self, compiled, rng):
-        batch = rng.integers(0, 2, size=(6, 40))
-        config = service_config(shared_memory_min_bytes=1 << 30)
-        with EvaluationService(config) as service:
-            result = service.evaluate(compiled, batch)
-            assert service.stats().shm_jobs == 0
-        assert same_run(result, compiled.run(batch))
+class TestInputSnapshot:
+    @pytest.mark.parametrize("route", ["service", "engine"])
+    @pytest.mark.parametrize(
+        "fault_plan",
+        [None, FaultPlan(kill_before_task=1, workers=(0,))],
+        ids=["healthy", "retried"],
+    )
+    def test_caller_may_overwrite_inputs_after_submit(
+        self, parity6, compiled, rng, route, fault_plan
+    ):
+        # INV-4: a job computes on the values submitted, even when the
+        # caller reuses its array the moment submit returns — while the
+        # queues still pickle the job's chunks, and when a killed worker's
+        # task is sliced again for its retry.
+        config = service_config(
+            fault_plan=fault_plan,
+            service_retry_backoff_s=0.01,
+            service_task_attempts=25,
+        )
+        batches = [rng.integers(0, 2, size=(6, 24)) for _ in range(4)]
+        expected = [compiled.run(batch) for batch in batches]
+        overwrite = np.ones((6, 24), dtype=batches[0].dtype)
+        # The overwrite changes every job's answer, so reading it shows.
+        assert not any(same_run(compiled.run(overwrite), want) for want in expected)
+        if route == "service":
+            pool = EvaluationService(config)
+            submit = lambda batch: pool.submit(compiled, batch)
+        else:
+            pool = Engine(config)
+            submit = lambda batch: pool.submit(parity6, batch)
+        with pool:
+            futures = []
+            for batch in batches:
+                futures.append(submit(batch))
+                batch[:] = overwrite
+            results = [future.result(timeout=60) for future in futures]
+            stats = (pool if route == "service" else pool._service).stats()
+        for got, want in zip(results, expected):
+            assert same_run(RunResult(got.outputs, got.energy), want)
+        if fault_plan is not None:
+            assert stats.worker_restarts >= 1
+            assert stats.retries >= 1
 
 
 class TestResilience:
@@ -369,15 +392,6 @@ class TestEngineRouting:
         assert (result.energy == serial.energy).all()
         assert (again.node_values == serial.node_values).all()
 
-    def test_persistent_pool_off_uses_per_call_pool(self, parity6, rng):
-        batch = rng.integers(0, 2, size=(6, 32))
-        serial = Engine().evaluate(parity6, batch)
-        with Engine(service_config(parallel_threshold=8, persistent_pool=False)) as engine:
-            result = engine.evaluate(parity6, batch)
-            assert engine._service is None
-        assert (result.outputs == serial.outputs).all()
-        assert (result.energy == serial.energy).all()
-
     def test_squeeze_and_zero_width_through_parallel_config(self, parity6, rng):
         with Engine(service_config()) as engine:
             vector = rng.integers(0, 2, size=6)
@@ -511,12 +525,12 @@ class TestStatsConsistency:
         """
         import threading
 
-        # Wide batches cross shared_memory_min_bytes, so each job bumps
-        # jobs AND shm_jobs in one locked block — the torn read this guards
-        # against is seeing the second without the first.
+        # Each job bumps jobs and, once per column task, tasks in one
+        # locked block — the torn read this guards against is seeing the
+        # job without its tasks.
         import time
 
-        config = service_config(shared_memory_min_bytes=1)
+        config = service_config()
         batch = rng.integers(0, 2, size=(6, 64))
         n_jobs = 20
         snapshots = []
@@ -543,13 +557,12 @@ class TestStatsConsistency:
         assert snapshots
         previous_jobs = 0
         for stats in snapshots:
-            assert 0 <= stats.shm_jobs <= stats.jobs <= n_jobs
-            assert stats.tasks >= 0 and stats.installs >= 0
+            assert 0 <= stats.jobs <= stats.tasks
+            assert stats.jobs <= n_jobs and stats.installs >= 0
             # jobs is monotone across successive reads from one thread.
             assert stats.jobs >= previous_jobs
             previous_jobs = stats.jobs
         assert snapshots[-1].jobs == n_jobs
-        assert snapshots[-1].shm_jobs == n_jobs
 
 
 class TestMetricPiggyback:
@@ -620,22 +633,15 @@ class TestMetricPiggyback:
     @pytest.mark.parametrize("keep_nodes", [False, True])
     def test_transport_bytes_recorded(self, compiled, rng, telemetry, keep_nodes):
         # The parent counts each job's input block; workers count the input
-        # columns they read plus the result columns they send or write:
-        # 8 bytes of energy and one int8 row per output (per node, kept).
+        # columns they are sent plus the result arrays they send back:
+        # 8 bytes of energy and one int8 row per output, and with kept
+        # nodes one int8 row per node as well.
         batch = rng.integers(0, 2, size=(6, 32))  # int64: 1,536 bytes
-        rows = compiled.n_nodes if keep_nodes else len(compiled.outputs)
-        moved = batch.nbytes + 32 * (8 + rows)
-        # A pickled reply with kept nodes carries the output rows as well.
-        pickled = moved + (32 * len(compiled.outputs) if keep_nodes else 0)
-        for shm_min_bytes, shm_jobs in ((1 << 30, 0), (1, 1)):
-            config = service_config(shared_memory_min_bytes=shm_min_bytes)
-            with EvaluationService(config) as service:
-                service.evaluate(compiled, batch, keep_nodes=keep_nodes)
-                assert service.stats().shm_jobs == shm_jobs
+        rows = len(compiled.outputs) + (compiled.n_nodes if keep_nodes else 0)
+        with EvaluationService(service_config()) as service:
+            service.evaluate(compiled, batch, keep_nodes=keep_nodes)
         assert telemetry.total("service.pickle_bytes") == batch.nbytes
-        assert telemetry.total("service.shm_bytes") == batch.nbytes
-        assert telemetry.total("worker.pickle_bytes") == pickled
-        assert telemetry.total("worker.shm_bytes") == moved
+        assert telemetry.total("worker.pickle_bytes") == batch.nbytes + 32 * (8 + rows)
 
     def test_disabled_telemetry_still_has_stats(self, compiled, rng):
         from repro.obs import get_registry
