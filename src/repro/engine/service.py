@@ -21,9 +21,12 @@ keeps the workers *resident*:
 * :meth:`EvaluationService.submit` returns a :class:`concurrent.futures.Future`,
   so many independent jobs — different circuits, different batches — pipeline
   over one pool; ``map`` and :func:`as_completed` ride on top.
-* Workers that die (OOM-killed, segfaulted, externally killed) are detected
-  when results go quiet or at the next dispatch, respawned with an empty
-  store, and their in-flight tasks are re-dispatched; a worker answering a
+* Each worker reports on its own result pipe, which the dispatcher reads
+  with :func:`multiprocessing.connection.wait`.  Workers that die
+  (OOM-killed, segfaulted, externally killed) are detected when results go
+  quiet or at the next dispatch, respawned with an empty store and a new
+  pipe, and their in-flight tasks are re-dispatched; a kill can thus never
+  strand a lock the other workers' reports need.  A worker answering a
   request for a key it no longer holds (LRU eviction, or a fresh process
   after a crash) triggers a targeted reinstall rather than an error.
 * ``close()`` (also via the context-manager protocol) drains outstanding
@@ -75,8 +78,7 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
-from multiprocessing import get_context
-from queue import Empty
+from multiprocessing import connection, get_context
 from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 import numpy as np
@@ -309,6 +311,11 @@ def _service_worker_main(
 ) -> None:
     """Loop of one resident worker: install programs, run tasks, report back.
 
+    ``results`` is the write end of this worker's own result pipe.  No other
+    process writes to it, so a worker killed in the middle of a message
+    strands nothing another worker needs: the parent drops the pipe with
+    the dead worker and gives its successor a new one.
+
     The local program store is a twin of the parent-side mirror: both evict
     LRU-first at ``store_capacity`` and both refresh recency on installs and
     runs, and since messages arrive in the order the parent dispatched them
@@ -356,14 +363,23 @@ def _service_worker_main(
     store: "OrderedDict[object, object]" = OrderedDict()
     current = [None]  # task id being executed, shared with the heartbeat thread
     stop_beating = threading.Event()
+    send_lock = threading.Lock()
+
+    def send(message) -> bool:
+        """Post one message whole; False once the parent's end is gone."""
+        try:
+            with send_lock:
+                results.send(message)
+        except (OSError, ValueError):
+            return False
+        return True
+
     if heartbeat_s > 0:
         pid = os.getpid()
 
         def _beat() -> None:
             while not stop_beating.wait(heartbeat_s):
-                try:
-                    results.put((worker_id, "heartbeat", pid, current[0], None))
-                except Exception:  # pragma: no cover - queue torn down at exit
+                if not send((worker_id, "heartbeat", pid, current[0], None)):
                     return
 
         threading.Thread(target=_beat, name="service-heartbeat", daemon=True).start()
@@ -371,7 +387,6 @@ def _service_worker_main(
         message = requests.get()
         kind = message[0]
         if kind == "stop":
-            stop_beating.set()
             break
         if kind == "install":
             _, key, program = message
@@ -410,12 +425,12 @@ def _service_worker_main(
                     if registry is not None:
                         registry.counter("worker.store_evictions").inc()
         if program is None:
-            results.put(
-                (worker_id, "missing", task_id, None, _drain_delta(registry))
-            )
+            if not send((worker_id, "missing", task_id, None, _drain_delta(registry))):
+                break
             continue
         store.move_to_end(key)
         current[0] = task_id
+        sent = True
         try:
             if faults is not None:
                 faults.begin_task()
@@ -443,12 +458,12 @@ def _service_worker_main(
                 if faults.drop_result():
                     continue
                 if faults.corrupt_result():
-                    results.put(("corrupt-message",))
+                    send(("corrupt-message",))
                     continue
-            results.put((worker_id, "done", task_id, reply, _drain_delta(registry)))
+            sent = send((worker_id, "done", task_id, reply, _drain_delta(registry)))
         except BaseException as exc:
             detail = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-            results.put(
+            sent = send(
                 (
                     worker_id,
                     "error",
@@ -459,6 +474,9 @@ def _service_worker_main(
             )
         finally:
             current[0] = None
+        if not sent:
+            break
+    stop_beating.set()
 
 
 # ----------------------------------------------------------------- parent side
@@ -469,6 +487,7 @@ class _Worker:
         "index",
         "process",
         "requests",
+        "results",
         "store",
         "force_install",
         "inflight",
@@ -476,10 +495,12 @@ class _Worker:
         "running",
     )
 
-    def __init__(self, index, process, requests) -> None:
+    def __init__(self, index, process, requests, results) -> None:
         self.index = index
         self.process = process
         self.requests = requests
+        #: Read end of this worker's own result pipe; None once it hit EOF.
+        self.results = results
         #: Mirror of the worker's LRU program store (keys only).
         self.store: "OrderedDict[object, bool]" = OrderedDict()
         #: Keys whose next install must ride the queue even though the
@@ -583,7 +604,11 @@ class EvaluationService:
         self.config = config if config is not None else EngineConfig()
         self._ctx = context if context is not None else get_context()
         self._lock = threading.RLock()
-        self._results = self._ctx.Queue()
+        # close() wakes the dispatcher through this pipe; result pipes of
+        # replaced workers wait in _dropped_pipes until the dispatcher,
+        # the only thread that reads them, closes them.
+        self._wake_reader, self._wake_writer = self._ctx.Pipe(duplex=False)
+        self._dropped_pipes: list = []
         self._task_ids = itertools.count()
         self._tasks: Dict[int, _Task] = {}
         # Future resolutions staged under the lock, applied outside it: a
@@ -680,13 +705,14 @@ class EvaluationService:
     # ------------------------------------------------------------- lifecycle
     def _spawn_worker(self, index: int) -> _Worker:
         requests = self._ctx.Queue()
+        results, writer = self._ctx.Pipe(duplex=False)
         plan = self._fault_plan
         process = self._ctx.Process(
             target=_service_worker_main,
             args=(
                 index,
                 requests,
-                self._results,
+                writer,
                 self.config.service_store_size,
                 self._telemetry,
                 self._heartbeat_s,
@@ -697,7 +723,10 @@ class EvaluationService:
             daemon=True,
         )
         process.start()
-        return _Worker(index, process, requests)
+        # Only the worker may hold the write end: once it dies, its pipe
+        # reads EOF instead of waiting on a message that never completes.
+        writer.close()
+        return _Worker(index, process, requests, results)
 
     def __enter__(self) -> "EvaluationService":
         return self
@@ -753,7 +782,7 @@ class EvaluationService:
                 worker.requests.put(("stop",))
             except (ValueError, OSError):  # pragma: no cover - queue torn down
                 pass
-        self._results.put(None)  # wake + stop the dispatcher
+        self._wake_writer.send(None)  # wake + stop the dispatcher
         self._dispatcher.join(timeout=max(0.1, deadline - time.monotonic()))
         for worker in workers:
             # First a bounded cooperative join, then force: a worker wedged
@@ -767,10 +796,11 @@ class EvaluationService:
                 worker.process.kill()
                 worker.process.join(timeout=1.0)
             _discard_queue(worker.requests)
-        # The dispatcher (daemon) may still be mid-loop if the join above
-        # timed out; discarding rather than flushing the results queue keeps
-        # interpreter exit from waiting on its feeder thread.
-        _discard_queue(self._results)
+            self._dropped_pipes.append(worker.results)
+        for pipe in self._dropped_pipes + [self._wake_reader, self._wake_writer]:
+            if pipe is not None:
+                pipe.close()
+        self._dropped_pipes.clear()
 
     @property
     def closed(self) -> bool:
@@ -1115,6 +1145,10 @@ class EvaluationService:
         """
         worker.process.join(timeout=0)
         _discard_queue(worker.requests)
+        # Whatever the dead worker left in its pipe goes with it: its
+        # in-flight tasks are retried below.
+        self._dropped_pipes.append(worker.results)
+        worker.results = None
         orphaned = [
             self._tasks[task_id]
             for task_id in worker.inflight
@@ -1224,16 +1258,42 @@ class EvaluationService:
                 if self._retries:
                     # Wake for the next due retry instead of sleeping past it.
                     wait = min(wait, max(0.01, self._retries[0][0] - time.monotonic()))
+                for pipe in self._dropped_pipes:
+                    if pipe is not None:
+                        pipe.close()
+                self._dropped_pipes.clear()
+                owners = {
+                    worker.results: worker
+                    for worker in self._workers
+                    if worker.results is not None
+                }
             try:
-                item = self._results.get(timeout=wait)
-            except (Empty, OSError, ValueError):
+                ready = connection.wait([self._wake_reader, *owners], timeout=wait)
+            except (OSError, ValueError):
                 if self._closed:
                     return
-                item = False  # timeout tick; None is the shutdown sentinel
-            if item is None:
+                ready = []
+            if self._wake_reader in ready:
                 self._flush_resolutions()
                 return
-            if item is not False:
+            for pipe in ready:
+                try:
+                    item = pipe.recv()
+                except (EOFError, OSError):
+                    # The worker died (possibly mid-message): stop reading
+                    # its pipe; death detection respawns it with a new one.
+                    with self._lock:
+                        owner = owners[pipe]
+                        if owner.results is pipe:
+                            owner.results = None
+                            self._dropped_pipes.append(pipe)
+                    continue
+                except Exception:
+                    # A whole message that does not unpickle: count it and
+                    # let the lost-result clock recover its task.
+                    with self._lock:
+                        self._c_protocol_errors.inc()
+                    continue
                 with self._lock:
                     try:
                         self._handle_result(item)
@@ -1246,7 +1306,7 @@ class EvaluationService:
                         # lost-result clock.
                         self._c_protocol_errors.inc()
             now = time.monotonic()
-            if item is False or now >= self._next_tick:
+            if not ready or now >= self._next_tick:
                 with self._lock:
                     self._on_tick(now)
                 self._next_tick = now + self._tick_interval

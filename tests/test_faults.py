@@ -134,6 +134,27 @@ class TestWorkerKills:
         assert stats.worker_restarts >= 1
         assert stats.retries >= 1
 
+    @pytest.mark.parametrize("keep_nodes", [False, True])
+    def test_kill_scoped_to_one_worker_leaves_pool_parallel(
+        self, compiled, rng, keep_nodes
+    ):
+        # Worker 0 (and each of its respawns) dies after its first task, so
+        # an in-flight job keeps losing that slot's tasks mid-job.  They are
+        # re-dispatched, the job is bit-identical, and worker 1 keeps the
+        # pool out of degraded mode.
+        config = fast_recovery_config(
+            fault_plan=FaultPlan(kill_after_task=1, workers=(0,)),
+        )
+        batch = rng.integers(0, 2, size=(6, 64))
+        with EvaluationService(config) as service:
+            result = service.evaluate(compiled, batch, keep_nodes=keep_nodes)
+            stats = service.stats()
+        assert same_run(result, slow_run(batch, keep_nodes))
+        assert stats.worker_restarts >= 1
+        assert stats.retries >= 1
+        assert not stats.degraded and stats.degraded_jobs == 0
+
+
 class TestLostAndCorruptedMessages:
     @pytest.mark.parametrize("keep_nodes", [False, True])
     def test_dropped_results_are_redispatched(self, compiled, rng, keep_nodes):
@@ -144,6 +165,24 @@ class TestLostAndCorruptedMessages:
             stats = service.stats()
         assert same_run(result, slow_run(batch, keep_nodes))
         assert stats.retries >= 1
+
+    @pytest.mark.parametrize("keep_nodes", [False, True])
+    def test_single_worker_retries_lost_results_on_itself(
+        self, compiled, rng, keep_nodes
+    ):
+        # With one worker there is no other worker to prefer: both lost
+        # results are re-dispatched to the same, live process.
+        config = fast_recovery_config(
+            max_workers=1, fault_plan=FaultPlan(drop_result_tasks=(1, 2))
+        )
+        batch = rng.integers(0, 2, size=(6, 24))
+        with EvaluationService(config) as service:
+            result = service.evaluate(compiled, batch, keep_nodes=keep_nodes)
+            stats = service.stats()
+        assert same_run(result, slow_run(batch, keep_nodes))
+        assert stats.workers == 1
+        assert stats.retries >= 2
+        assert stats.worker_restarts == 0
 
     def test_corrupt_result_message_does_not_kill_dispatcher(self, compiled, rng):
         # Regression: a malformed result message used to raise inside the

@@ -7,6 +7,8 @@ as submitted — every task is ``program.run`` over an independent column
 range.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.engine import (
     FaultPlan,
     RunResult,
     ServiceClosed,
+    ServiceStats,
     as_completed,
     chain_future,
     same_run,
@@ -173,13 +176,17 @@ class TestSubmission:
             # Two distinct programs, each installed at most once per worker.
             assert stats.installs <= stats.workers * 2
 
-    def test_outputs_only_matches_kept_nodes_and_evaluate_slow(self, parity6, rng):
+    @pytest.mark.parametrize("chunk_size", [32, 4], ids=["one-task", "sharded"])
+    def test_outputs_only_matches_kept_nodes_and_evaluate_slow(
+        self, parity6, rng, chunk_size
+    ):
         # INV-12: a job's outputs and energy equal those of the kept node
-        # matrix and of evaluate_slow, on every backend.
+        # matrix and of evaluate_slow, on every backend — whether one task
+        # returns the whole job or the parent stitches it from column shards.
         batch = rng.integers(0, 2, size=(6, 19))
         expected = slow_reference(parity6, batch)
         engine = Engine()
-        with EvaluationService(service_config()) as service:
+        with EvaluationService(service_config(chunk_size=chunk_size)) as service:
             for backend in BACKENDS:
                 program = engine.compile(parity6, backend=backend)
                 key = (parity6.structural_hash(), backend)
@@ -190,26 +197,36 @@ class TestSubmission:
                 for got in (result, kept):
                     assert (got.outputs == expected[parity6.outputs]).all(), backend
                     assert (got.energy == expected[6:].sum(axis=0)).all(), backend
+            # Six healthy jobs, each cut into ceil(19 / chunk_size) tasks.
+            assert service.stats().tasks == 6 * -(-19 // chunk_size)
 
 
 class TestInputSnapshot:
+    FAULTS = {
+        "healthy": {},
+        # Worker 0 dies before each first task; its tasks are retried.
+        "retried": dict(fault_plan=FaultPlan(kill_before_task=1, workers=(0,))),
+        # Every worker dies and none is respawned: the dispatcher runs the
+        # in-flight tasks in-process.
+        "degraded": dict(
+            fault_plan=FaultPlan(kill_before_task=1), service_respawn_budget=0
+        ),
+    }
+
     @pytest.mark.parametrize("route", ["service", "engine"])
-    @pytest.mark.parametrize(
-        "fault_plan",
-        [None, FaultPlan(kill_before_task=1, workers=(0,))],
-        ids=["healthy", "retried"],
-    )
+    @pytest.mark.parametrize("fault", list(FAULTS))
     def test_caller_may_overwrite_inputs_after_submit(
-        self, parity6, compiled, rng, route, fault_plan
+        self, parity6, compiled, rng, route, fault
     ):
         # INV-4: a job computes on the values submitted, even when the
         # caller reuses its array the moment submit returns — while the
-        # queues still pickle the job's chunks, and when a killed worker's
-        # task is sliced again for its retry.
+        # queues still pickle the job's chunks, when a killed worker's task
+        # is sliced again for its retry, and when a degraded service slices
+        # it for in-process evaluation.
         config = service_config(
-            fault_plan=fault_plan,
             service_retry_backoff_s=0.01,
             service_task_attempts=25,
+            **self.FAULTS[fault],
         )
         batches = [rng.integers(0, 2, size=(6, 24)) for _ in range(4)]
         expected = [compiled.run(batch) for batch in batches]
@@ -231,9 +248,11 @@ class TestInputSnapshot:
             stats = (pool if route == "service" else pool._service).stats()
         for got, want in zip(results, expected):
             assert same_run(RunResult(got.outputs, got.energy), want)
-        if fault_plan is not None:
+        if fault == "retried":
             assert stats.worker_restarts >= 1
             assert stats.retries >= 1
+        if fault == "degraded":
+            assert stats.degraded and stats.degraded_jobs >= 1
 
 
 class TestResilience:
@@ -276,6 +295,22 @@ class TestResilience:
             assert stats.worker_restarts >= 2
             # Fresh processes have empty stores: the program ships again.
             assert stats.installs > installs
+
+    def test_respawned_worker_reports_on_a_new_pipe(self, compiled, rng):
+        # A killed worker's result pipe may end mid-message: the parent
+        # stops reading it, closes it, and the successor gets its own.
+        batch = rng.integers(0, 2, size=(6, 12))
+        with EvaluationService(service_config()) as service:
+            service.evaluate(compiled, batch)
+            old = [worker.results for worker in service._workers]
+            for worker in list(service._workers):
+                worker.process.kill()
+                worker.process.join(timeout=10)
+            assert same_run(service.evaluate(compiled, batch), compiled.run(batch))
+            new = [worker.results for worker in service._workers]
+            assert all(pipe.closed for pipe in old)
+            assert not any(pipe.closed for pipe in new)
+            assert service.stats().worker_restarts == 2
 
     def test_worker_error_propagates(self, rng):
         batch = rng.integers(0, 2, size=(2, 8))
@@ -515,6 +550,15 @@ def telemetry():
 
 
 class TestStatsConsistency:
+    def test_as_dict_names_every_field_once(self):
+        # as_dict is written out by hand: it must carry every field, under
+        # its own name and with its own value, and nothing else.
+        values = {
+            field.name: index
+            for index, field in enumerate(dataclasses.fields(ServiceStats))
+        }
+        assert ServiceStats(**values).as_dict() == values
+
     def test_stats_atomic_under_concurrent_submit(self, compiled, rng):
         """Hammering stats() during submission never sees a torn update.
 

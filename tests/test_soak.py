@@ -9,8 +9,14 @@ them without code changes.
 import numpy as np
 import pytest
 
+from repro.engine import ServiceStats
 from repro.engine.faults import aggressive_plan
-from repro.engine.soak import SoakReport, default_soak_config, run_soak
+from repro.engine.soak import (
+    _MONOTONE_STATS,
+    SoakReport,
+    default_soak_config,
+    run_soak,
+)
 from repro.obs import MetricsRegistry, counter_regressions
 
 from soak_harness import soak_seconds
@@ -66,6 +72,14 @@ class TestSoakReport:
     def test_rejects_non_positive_seconds(self):
         with pytest.raises(ValueError, match="seconds"):
             run_soak(0)
+
+    def test_monotone_stats_are_service_stats_fields(self):
+        # The soak reads each of these from ServiceStats.as_dict(): a name
+        # the stats no longer carry would end the soak in a KeyError.
+        stats = ServiceStats(
+            workers=2, jobs=0, tasks=0, installs=0, reinstalls=0, worker_restarts=0
+        )
+        assert set(_MONOTONE_STATS) <= set(stats.as_dict())
 
 
 class TestShortSoaks:
