@@ -18,24 +18,23 @@ identical stream:
 * ``debug`` is deliberately *not* timed: per-layer GEMM spans are an
   opt-in diagnostic (``REPRO_TELEMETRY_DEBUG=1``) with no overhead budget.
 
-The two modes are timed best-of-rounds with the rounds *interleaved*, in
-an order that alternates from round to round (disabled then enabled, then
-enabled then disabled): machine drift on a shared box dwarfs the
-per-query instrumentation cost, and interleaving exposes both modes to the
-same drift so the best-of comparison cancels it (sequential
-all-of-one-then-all-of-the-other rounds showed swings of +/-10% on
-identical code, and a fixed disabled-first order read -14.5% to +2.1% over
-8 quick runs, the enabled pass, always second, up to 14.5% faster).  Both
-modes run 7 rounds, each repeating the stream until it has lasted at least
-``MIN_ROUND_S`` and reporting seconds per pass: a quick n=16 round of one
-pass took about 0.18 s, where a few milliseconds of drift between the two
-modes already crossed the gate.  The headline assertion pins
-enabled-telemetry overhead below 3% in full mode; quick mode
-(``E19_QUICK=1``, CI-sized) uses a looser 10% gate because the shrunken
-stream amplifies timer noise.  The enabled pass must also actually record
-the series the subsystem promises (cache hits, evaluate spans, chunk
-counts) — an accidentally-dead registry would otherwise "win" the overhead
-comparison.  Rows go to ``BENCH_e19.json`` at the repository root.
+The two modes are timed pass by pass, alternating within each round
+(disabled, enabled, then enabled, disabled, ...), and the gate reads the
+median, over all adjacent (disabled, enabled) pairs, of the enabled pass's
+time over the disabled one's: machine drift on a shared box dwarfs the
+per-query instrumentation cost, and two adjacent passes see nearly the
+same drift, so each ratio cancels it.  Best-of-rounds comparisons did not
+(sequential all-of-one-then-all-of-the-other rounds swung +/-10% on
+identical code; interleaved rounds of at least 0.5 s, best of 7, still
+read -15.6% to +14.7% over quick runs on a 2-vCPU host).  ``ROUNDS`` rounds
+each repeat pairs of passes until the round has lasted ``MIN_ROUND_S``.
+The headline assertion pins enabled-telemetry overhead below 3% in full
+mode; quick mode (``E19_QUICK=1``, CI-sized) uses a looser 10% gate
+because the shrunken stream amplifies timer noise.  The enabled pass must
+also actually record the series the subsystem promises (cache hits,
+evaluate spans, chunk counts) — an accidentally-dead registry would
+otherwise "win" the overhead comparison.  Rows go to ``BENCH_e19.json``
+at the repository root.
 """
 
 import json
@@ -53,9 +52,9 @@ from repro.engine import Engine, EngineConfig
 QUICK = os.environ.get("E19_QUICK") == "1"
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_e19.json"
 
-#: Timed rounds per mode, interleaved; the best one is reported.
+#: Timed rounds; each repeats pairs of passes until it lasts MIN_ROUND_S.
 ROUNDS = 7
-#: Shortest timed round: the stream repeats until one round lasts this long.
+#: Shortest timed round.
 MIN_ROUND_S = 0.5
 
 
@@ -67,18 +66,12 @@ def _query_stream(circuit, batch_width, repeats, seed=19):
     ]
 
 
-def _run_stream(engine, circuit, batches):
-    """Seconds per pass over the stream, in a round that repeats the stream
-    until it has lasted ``MIN_ROUND_S``."""
-    passes = 0
+def _pass_s(engine, circuit, batches):
+    """Seconds for one pass over the stream."""
     start = time.perf_counter()
-    while True:
-        for batch in batches:
-            engine.evaluate(circuit, batch)
-        passes += 1
-        elapsed = time.perf_counter() - start
-        if elapsed >= MIN_ROUND_S:
-            return elapsed / passes
+    for batch in batches:
+        engine.evaluate(circuit, batch)
+    return time.perf_counter() - start
 
 
 def _overhead_case(name, n, batch_width, repeats, max_overhead):
@@ -92,26 +85,26 @@ def _overhead_case(name, n, batch_width, repeats, max_overhead):
     engine_disabled = Engine(config)
     engine_enabled = Engine(config)
     registry = obs.enable(reset=True)
-    disabled_s = enabled_s = float("inf")
+    pairs = []  # (disabled pass s, enabled pass s), adjacent in time
     try:
         obs.disable()
         engine_disabled.evaluate(circuit, batches[0])  # warm-up: compile
         obs.set_registry(registry)
         engine_enabled.evaluate(circuit, batches[0])
-        for round_index in range(ROUNDS):
-            # Alternate which mode goes first, so neither mode always
-            # takes the second slot of a round.
-            for enabled in (False, True) if round_index % 2 == 0 else (True, False):
-                if enabled:
-                    obs.set_registry(registry)
-                    enabled_s = min(
-                        enabled_s, _run_stream(engine_enabled, circuit, batches)
-                    )
-                else:
-                    obs.disable()
-                    disabled_s = min(
-                        disabled_s, _run_stream(engine_disabled, circuit, batches)
-                    )
+        for _round in range(ROUNDS):
+            start = time.perf_counter()
+            while time.perf_counter() - start < MIN_ROUND_S:
+                # Alternate which mode goes first, so neither mode always
+                # takes the second slot of a pair.
+                times = {}
+                for enabled in (False, True) if len(pairs) % 2 == 0 else (True, False):
+                    if enabled:
+                        obs.set_registry(registry)
+                        times[enabled] = _pass_s(engine_enabled, circuit, batches)
+                    else:
+                        obs.disable()
+                        times[enabled] = _pass_s(engine_disabled, circuit, batches)
+                pairs.append((times[False], times[True]))
         snapshot = registry.snapshot()
     finally:
         obs.disable()
@@ -138,7 +131,9 @@ def _overhead_case(name, n, batch_width, repeats, max_overhead):
             if key.startswith("scheduler.chunks")
         ),
     }
-    overhead = (enabled_s - disabled_s) / disabled_s if disabled_s else 0.0
+    disabled = np.array([d for d, _ in pairs])
+    enabled = np.array([e for _, e in pairs])
+    overhead = float(np.median(enabled / disabled)) - 1.0
     return {
         "case": name,
         "gates": circuit.size,
@@ -146,8 +141,9 @@ def _overhead_case(name, n, batch_width, repeats, max_overhead):
         "queries": repeats,
         "rounds": ROUNDS,
         "min_round_s": MIN_ROUND_S,
-        "disabled_s": round(disabled_s, 4),
-        "enabled_s": round(enabled_s, 4),
+        "pairs": len(pairs),
+        "disabled_s": round(float(np.median(disabled)), 4),
+        "enabled_s": round(float(np.median(enabled)), 4),
         "overhead_pct": round(overhead * 100.0, 2),
         "max_overhead_pct": round(max_overhead * 100.0, 2),
         "recorded": recorded,

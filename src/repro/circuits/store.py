@@ -44,6 +44,7 @@ __all__ = [
     "int_column",
     "segment_max",
     "segment_sum",
+    "shared_sum_rows",
     "validate_csr_sources",
 ]
 
@@ -325,6 +326,56 @@ def gather_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.repeat(
         starts - np.concatenate(([0], np.cumsum(lens[:-1]))), lens
     ) + np.arange(total, dtype=np.int64)
+
+
+#: About this many wires are compared at a time, so the comparison's
+#: temporaries (some 26 bytes a wire) stay bounded on a wide layer.
+_SHARED_SUM_BLOCK = 1 << 20
+
+
+def shared_sum_rows(offsets: np.ndarray, cols: np.ndarray, data: np.ndarray):
+    """The distinct weighted sums of one layer's CSR rows: ``(first, row_of)``.
+
+    The one shared-sum rule of the package, applied by the matrix backends
+    and by the verifier's sum count.  A row shares the previous row's sum
+    when its sources and weights equal that row's, compared element by
+    element (no hashing): a threshold ladder emits its gates back to back,
+    all reading one sum with their own thresholds.  Equal rows that are not
+    adjacent keep sums of their own.  ``first`` holds the ascending rows
+    that each start a run of equal rows, one sum per run; ``row_of`` maps
+    every row to the index of its sum in ``first``, or is None when no row
+    repeats (then ``first`` is every row).
+    """
+    n_rows = len(offsets) - 1
+    fan = np.diff(offsets)
+    # same[i]: row i repeats row i - 1, which needs an equal fan-in first.
+    same = np.zeros(n_rows, dtype=bool)
+    np.equal(fan[1:], fan[:-1], out=same[1:])
+    if len(cols) and same.any():
+        bounds = [0, n_rows]
+        if len(cols) > _SHARED_SUM_BLOCK:
+            # Rows in blocks of about _SHARED_SUM_BLOCK wires.
+            cuts = np.searchsorted(offsets, np.arange(0, len(cols), _SHARED_SUM_BLOCK))
+            bounds = np.unique(np.append(cuts, n_rows)).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            lens = fan[lo:hi]
+            start = int(offsets[lo])
+            # Each wire against the wire one row-length back: the same slot
+            # of the previous row wherever the two rows are equally long.
+            back = np.repeat(lens, lens)
+            np.subtract(np.arange(start, start + len(back)), back, out=back)
+            wires = slice(start, start + len(back))
+            differs = cols[wires] != cols.take(back)
+            differs |= data[wires] != data.take(back)
+            wired = lens > 0
+            if wired.any():
+                same[lo:hi][wired] &= ~np.logical_or.reduceat(
+                    differs, offsets[lo:hi][wired] - start
+                )
+    if not same.any():
+        return np.arange(n_rows, dtype=np.int64), None
+    starts = ~same
+    return np.flatnonzero(starts), np.cumsum(starts) - 1
 
 
 def group_by_depth(depths: np.ndarray):

@@ -10,7 +10,11 @@ value of every node when the caller asks to keep them.  The program
 runs the plan's schedule level by level: all stamps of one template in one
 level evaluate together, with one matrix product per template layer (per
 stamp chunk, when the batch is wide); a residual run evaluates with one
-matrix product per depth layer.  Three backends cover the practical space:
+matrix product per depth layer.  A layer's product has one row per
+distinct weighted sum: adjacent gates with equal sources and weights (the
+interval gates of a threshold ladder) share one sum
+(:func:`~repro.circuits.store.shared_sum_rows`), and each compares it
+against its own threshold.  Three backends cover the practical space:
 
 ``sparse``
     scipy CSR matrices: template layers over the template's local slots,
@@ -53,6 +57,7 @@ from scipy import sparse
 
 from repro.circuits.circuit import CircuitStats
 from repro.circuits.simulator import ResidualLayer, ResidualSegment, TemplatePlan
+from repro.circuits.store import gather_ranges, shared_sum_rows
 from repro.engine.config import EngineConfig
 from repro.obs import get_registry
 
@@ -248,7 +253,9 @@ class _SegmentProgram:
     layer: a CSR matrix over every node column (sparse), or a dense matrix
     over the layer's source rows (dense) — a view of their id range when
     they fill at least half of it, else the distinct rows gathered at most
-    ``_GATHER_ROWS`` at a time.  Each layer's fired block is counted into
+    ``_GATHER_ROWS`` at a time.  A layer whose gates share sums carries
+    ``row_of``, the sum row of each gate: the sums expand to one row per
+    gate before the threshold.  Each layer's fired block is counted into
     the energy right after its threshold, while it is still in cache.
     ``values_dtype`` is the plan's numeric lane, shared by the node-value
     buffer, the weight matrices and the thresholds: float32, float64 or
@@ -288,11 +295,14 @@ class _SegmentProgram:
         )
 
         def run_layers(values: np.ndarray, layers: list, spikes: np.ndarray) -> None:
-            for rows, terms, thresholds in layers:
+            for rows, terms, thresholds, row_of in layers:
                 start = time.perf_counter() if gemm is not None else 0.0
-                # The 0/1 fired block overwrites the sums in place, in the
-                # lane dtype, so the scatter below needs no cast copy.
+                # The 0/1 fired block overwrites the sums (expanded to one
+                # row per gate) in place, in the lane dtype, so the scatter
+                # below needs no cast copy.
                 fired = _layer_sums(values, terms)
+                if row_of is not None:
+                    fired = fired[row_of]
                 np.greater_equal(fired, thresholds[:, None], out=fired)
                 spikes += fired.sum(axis=0).astype(np.int64, copy=False)
                 values[rows] = fired
@@ -332,15 +342,14 @@ def _lane_array(values, dtype) -> np.ndarray:
 _DENSE_MATRIX_BYTES = 1 << 30
 
 
-def _weight_matrix(n_rows, n_cols, rows, cols, data, dense: bool, dtype):
-    """An exact ``(n_rows, n_cols)`` weight matrix from COO triples.
+def _weight_matrix(offsets, cols, n_cols, data, dense: bool, dtype):
+    """An exact ``(rows, n_cols)`` weight matrix from a CSR layer.
 
     (row, col) pairs are unique: every emission path merges duplicate
-    sources during canonicalization.  ``rows`` ascend (each gate's wires
-    are one run), so they give the CSR offsets directly.  A dense matrix
-    over ``_DENSE_MATRIX_BYTES`` raises :class:`BackendError` before
-    allocating.
+    sources during canonicalization.  A dense matrix over
+    ``_DENSE_MATRIX_BYTES`` raises :class:`BackendError` before allocating.
     """
+    n_rows = len(offsets) - 1
     if dense:
         nbytes = n_rows * n_cols * np.dtype(dtype).itemsize
         if nbytes > _DENSE_MATRIX_BYTES:
@@ -351,31 +360,47 @@ def _weight_matrix(n_rows, n_cols, rows, cols, data, dense: bool, dtype):
             )
     data = _lane_array(data, dtype)
     if not dense:
-        offsets = np.searchsorted(rows, np.arange(n_rows + 1))
         return sparse.csr_matrix((data, cols, offsets), shape=(n_rows, n_cols))
     matrix = np.zeros((n_rows, n_cols), dtype=dtype)
     if len(data):
+        rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(offsets))
         matrix[rows, cols] = data
     return matrix
+
+
+def _shared_rows(offsets, cols, data) -> tuple:
+    """A layer's CSR cut to one row per distinct sum (the shared-sum rule of
+    :func:`~repro.circuits.store.shared_sum_rows`), as ``(offsets, cols,
+    data, row_of)``; the layer as given, with ``row_of`` None, when no row
+    repeats."""
+    first, row_of = shared_sum_rows(offsets, cols, data)
+    if row_of is None:
+        return offsets, cols, data, None
+    fan = np.diff(offsets)[first]
+    wires = gather_ranges(offsets[first], fan)
+    distinct = np.zeros(len(first) + 1, dtype=np.int64)
+    np.cumsum(fan, out=distinct[1:])
+    return distinct, cols[wires], data[wires], row_of
 
 
 def _template_layers(template, dense: bool, dtype) -> list:
     """Per-relative-depth layers of one compiled template.
 
-    Each matrix has shape ``(layer gates, n_params + n_gates)`` — columns
-    are the template's *local* slots, so one matrix serves every stamped
-    copy.
+    Each matrix has one row per distinct sum of the layer and one column per
+    *local* slot (``n_params + n_gates``), so one matrix serves every
+    stamped copy.
     """
     layers = []
     for lgates, rows, cols, data, thresholds in template.layers:
-        matrix = _weight_matrix(
-            len(lgates), template.n_locals, rows, cols, data, dense, dtype
-        )
+        offsets = np.searchsorted(rows, np.arange(len(lgates) + 1))
+        offsets, cols, data, row_of = _shared_rows(offsets, cols, data)
+        matrix = _weight_matrix(offsets, cols, template.n_locals, data, dense, dtype)
         layers.append(
             (
                 template.n_params + lgates,  # local rows to write
                 [(None, matrix)],
                 _lane_array(thresholds, dtype),
+                row_of,
             )
         )
     return layers
@@ -384,29 +409,21 @@ def _template_layers(template, dense: bool, dtype) -> list:
 def _residual_layer(
     layer: ResidualLayer, n_nodes: int, dense: bool, dtype
 ) -> tuple:
-    """One residual depth layer as ``(nodes, terms, thresholds)``."""
-    n_gates = len(layer.nodes)
+    """One residual depth layer as ``(nodes, terms, thresholds, row_of)``."""
     thresholds = _lane_array(layer.thresholds, dtype)
+    offsets, cols, data, row_of = _shared_rows(layer.offsets, layer.cols, layer.data)
     if not dense:
-        matrix = sparse.csr_matrix(
-            (_lane_array(layer.data, dtype), layer.cols, layer.offsets),
-            shape=(n_gates, n_nodes),
-        )
-        return layer.nodes, [(None, matrix)], thresholds
-    sources, columns = np.unique(layer.cols, return_inverse=True)
-    rows = np.repeat(np.arange(n_gates, dtype=np.int64), np.diff(layer.offsets))
+        matrix = _weight_matrix(offsets, cols, n_nodes, data, False, dtype)
+        return layer.nodes, [(None, matrix)], thresholds, row_of
+    sources, columns = np.unique(cols, return_inverse=True)
     start = int(sources[0]) if len(sources) else 0
     span = int(sources[-1]) + 1 - start if len(sources) else 0
     if span <= 2 * len(sources):
         # The sources fill at least half of their id range: multiply a view
         # of that range instead of gathering a copy.
-        matrix = _weight_matrix(
-            n_gates, span, rows, layer.cols - start, layer.data, True, dtype
-        )
-        return layer.nodes, [(slice(start, start + span), matrix)], thresholds
-    matrix = _weight_matrix(
-        n_gates, len(sources), rows, columns, layer.data, True, dtype
-    )
+        matrix = _weight_matrix(offsets, cols - start, span, data, True, dtype)
+        return layer.nodes, [(slice(start, start + span), matrix)], thresholds, row_of
+    matrix = _weight_matrix(offsets, columns, len(sources), data, True, dtype)
     terms = [
         (
             sources[lo : lo + _GATHER_ROWS],
@@ -414,7 +431,7 @@ def _residual_layer(
         )
         for lo in range(0, max(len(sources), 1), _GATHER_ROWS)
     ]
-    return layer.nodes, terms, thresholds
+    return layer.nodes, terms, thresholds, row_of
 
 
 def _lower_segments(plan: TemplatePlan, lower_template, lower_residual) -> list:

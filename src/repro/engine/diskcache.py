@@ -62,7 +62,7 @@ __all__ = [
 #: or slower than a fresh compile), or the format of the bundled
 #: ``circuit.json`` changes; old artifacts become invisible, so an older
 #: reader never meets a bundle it cannot load.
-ARTIFACT_VERSION = 5
+ARTIFACT_VERSION = 6
 
 _META_FORMAT = "repro-compiled-artifact"
 _META_NAME = "meta.json"

@@ -228,6 +228,12 @@ def run_soak(
     the metrics registry and ``stats()`` and records monotonicity
     violations.  Leak checks (shm blocks, child processes) run after the
     service closes.
+
+    Each future's wait ends ``result_timeout`` seconds after its submit,
+    whatever the waits before it took, and a future still running then
+    fails with ``TimeoutError`` and stops further submissions (a submit
+    could wait for a job slot the stalled jobs hold): a stalled service
+    reports within about ``seconds + result_timeout``.
     """
     if seconds <= 0:
         raise ValueError(f"seconds must be > 0, got {seconds}")
@@ -251,6 +257,7 @@ def run_soak(
     last_stats = None
     completions = 0
     round_robin = 0
+    stalled = False
 
     service = EvaluationService(config, registry=registry)
     try:
@@ -258,14 +265,16 @@ def run_soak(
         pending = deque()
 
         def reap(block: bool) -> None:
-            nonlocal completions, last_snapshot, last_stats
-            future, family, index = pending.popleft()
+            nonlocal completions, last_snapshot, last_stats, stalled
+            future, family, index, submitted = pending.popleft()
             if not block and not future.done():
-                pending.appendleft((future, family, index))
+                pending.appendleft((future, family, index, submitted))
                 return
+            wait = submitted + result_timeout - time.monotonic()
             try:
-                result = future.result(timeout=result_timeout)
+                result = future.result(timeout=max(0.0, wait))
             except Exception as exc:
+                stalled = stalled or not future.done()
                 report.jobs_failed += 1
                 name = type(exc).__name__
                 report.failures[name] = report.failures.get(name, 0) + 1
@@ -292,10 +301,11 @@ def run_soak(
                             )
                 last_stats = stats
 
-        while time.monotonic() < deadline:
+        while not stalled and time.monotonic() < deadline:
             family = families[round_robin % len(families)]
             index = int(rng.integers(0, len(family.batches)))
             round_robin += 1
+            submitted = time.monotonic()
             future = service.submit(
                 family.program,
                 family.batches[index],
@@ -303,7 +313,7 @@ def run_soak(
                 timeout=job_timeout,
                 keep_nodes=family.keep_nodes,
             )
-            pending.append((future, family, index))
+            pending.append((future, family, index, submitted))
             while len(pending) >= max_in_flight:
                 reap(block=True)
             while pending:

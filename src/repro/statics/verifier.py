@@ -57,6 +57,7 @@ from repro.circuits.store import (
     depth_issue,
     iter_depth_layers,
     segment_sum,
+    shared_sum_rows,
 )
 
 __all__ = [
@@ -658,6 +659,37 @@ def _level_issues(plan: TemplatePlan) -> List[str]:
 # --------------------------------------------------------------------------
 
 
+def _plan_sums(plan: TemplatePlan) -> int:
+    """The weighted sums one run of the plan computes per input column.
+
+    Every layer computes one sum per distinct row under the matrix
+    backends' shared-sum rule (:func:`~repro.circuits.store.shared_sum_rows`),
+    a template layer once per stamp.  The rule reads the rows alone, so a
+    circuit with and without its provenance counts the same.
+    """
+    per_stamp: Dict[int, int] = {}
+    total = 0
+    for segment in plan.segments:
+        if isinstance(segment, ResidualSegment):
+            total += sum(
+                len(shared_sum_rows(layer.offsets, layer.cols, layer.data)[0])
+                for layer in segment.layers
+            )
+            continue
+        template = segment.template
+        if id(template) not in per_stamp:
+            per_stamp[id(template)] = sum(
+                len(
+                    shared_sum_rows(
+                        np.searchsorted(rows, np.arange(len(lgates) + 1)), cols, data
+                    )[0]
+                )
+                for lgates, rows, cols, data, _thresholds in template.layers
+            )
+        total += segment.k * per_stamp[id(template)]
+    return total
+
+
 def _certified_lane(info: Dict[str, Any]) -> str:
     """The narrowest numeric lane the verifier's exactness verdicts allow."""
     if info["float32_exact"]:
@@ -781,6 +813,7 @@ def verify_circuit(
             )
         report.info["plan_levels"] = max(plan.levels, default=0)
         report.info["plan_groups"] = len(plan.schedule())
+        report.info["plan_sums"] = _plan_sums(plan)
         report.issues.extend(_plan_issues(plan))
 
     return report

@@ -13,7 +13,13 @@ from repro.circuits.serialize import (
     structural_digest,
 )
 from repro.circuits.simulator import build_template_plan, simulate
-from repro.circuits.store import IntVector, csr_dirty_rows, segment_max, segment_sum
+from repro.circuits.store import (
+    IntVector,
+    csr_dirty_rows,
+    segment_max,
+    segment_sum,
+    shared_sum_rows,
+)
 
 
 class TestIntVector:
@@ -94,6 +100,63 @@ class TestDirtyRows:
         assert got.tolist() == [
             i for i, row in enumerate(batch) if len(set(row)) != len(row)
         ]
+
+
+def _shared_sums_by_loop(rows):
+    """The shared-sum rule row by row: a row equal to the previous one
+    (sources and weights) shares its sum."""
+    first, row_of = [], []
+    for index, row in enumerate(rows):
+        if not index or row != rows[index - 1]:
+            first.append(index)
+        row_of.append(len(first) - 1)
+    return first, row_of
+
+
+#: A layer row as (source, weight) wires; small alphabets make equal and
+#: near-equal neighbours common.
+_WIRES = st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 1)), max_size=4)
+
+
+class TestSharedSumRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(_WIRES, st.sampled_from(["repeat", "repeat", "earlier"])),
+            max_size=14,
+        ),
+        block=st.sampled_from([1, 2, 3, 7, 1 << 20]),
+    )
+    def test_matches_row_loop(self, steps, block):
+        # Rows are drawn fresh, as a repeat of the previous row, or as a
+        # copy of an earlier (not necessarily adjacent) row; wire blocks
+        # of every size split the comparison anywhere inside a row.
+        import repro.circuits.store as store
+
+        rows = []
+        for step in steps:
+            if step == "repeat" and rows:
+                rows.append(rows[-1])
+            elif step == "earlier" and rows:
+                rows.append(rows[len(rows) // 2])
+            elif isinstance(step, list):
+                rows.append(step)
+        lens = [len(row) for row in rows]
+        offsets = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
+        cols = np.asarray([w[0] for row in rows for w in row], dtype=np.int64)
+        data = np.asarray([w[1] for row in rows for w in row], dtype=np.int64)
+        saved = store._SHARED_SUM_BLOCK
+        store._SHARED_SUM_BLOCK = block
+        try:
+            first, row_of = shared_sum_rows(offsets, cols, data)
+        finally:
+            store._SHARED_SUM_BLOCK = saved
+        want_first, want_row_of = _shared_sums_by_loop(rows)
+        assert first.tolist() == want_first
+        if len(want_first) == len(rows):
+            assert row_of is None
+        else:
+            assert row_of.tolist() == want_row_of
 
 
 class TestBulkAddGates:

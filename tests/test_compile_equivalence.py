@@ -821,3 +821,147 @@ class TestOutputsOnlyRun:
                         assert_outputs_and_energy(got, circuit, reference, backend)
             finally:
                 backends._STAMP_CHUNK_BYTES = saved
+
+
+# --------------------------------------------------------------------------- #
+# Shared sums: the matrix backends compute one weighted sum per run of equal
+# adjacent rows of a layer and compare it against each gate's own threshold.
+# --------------------------------------------------------------------------- #
+
+#: The ladder's weights over its five parameters; its sums are multiples of
+#: the lane scale in ``[-scale, 7 * scale]``.
+_LADDER_WEIGHTS = [1, 2, 1, -1, 3]
+
+#: Ladder weight scales that put the plan in each numeric lane: the worst
+#: case is ``8 * scale`` of weights plus a threshold of ``7 * scale + 1``.
+_LANE_SCALES = {"float32": 1, "float64": 1 << 21, "int64": 1 << 50}
+
+
+def _emit_ladder_rows(add_gate, params, scale):
+    """One depth layer, in emission order: a seven-gate ladder reading one
+    sum, then near misses of its row — one weight different, one source
+    different, the ladder row again after those two (equal, not adjacent)
+    — and a pair of zero-fan-in gates.  Returns the layer's gates."""
+    ladder = params[:5]
+    weights = [w * scale for w in _LADDER_WEIGHTS]
+    thresholds = [-1, 0, 1, 2, 2, 5, 7]
+    gates = [add_gate(ladder, weights, t * scale) for t in thresholds[:4]]
+    gates += [add_gate(ladder, weights, t * scale + 1) for t in thresholds[4:]]
+    # Fires on sum 3 * scale + 1 only, so in every lane it tells its own
+    # sum from the ladder's.
+    gates.append(add_gate(ladder, weights[:4] + [weights[4] + 1], 3 * scale + 1))
+    gates.append(add_gate(params[:4] + [params[5]], weights, 3 * scale))
+    gates.append(add_gate(ladder, weights, 4 * scale))
+    gates.append(add_gate([], [], 0))
+    gates.append(add_gate([], [], 1))
+    return gates
+
+
+def _shared_sum_circuit(scale):
+    """The ladder layer stamped as a template over three parameter rows,
+    with a second layer that reads it, then emitted once more by hand as a
+    residual run: template and residual layers both share sums."""
+    builder = CircuitBuilder(name=f"shared-sums-{scale}")
+    x = builder.allocate_inputs(6)
+
+    def emit(recorder):
+        layer = _emit_ladder_rows(
+            lambda s, w, t: recorder.add_gate(s, w, t, tag="ladder"),
+            list(range(6)),
+            scale,
+        )
+        # A second ladder over the first layer, so its sums read shared ones.
+        top = [recorder.add_gate(layer[1:5], [1, 1, 1, 1], t) for t in (1, 2, 3)]
+        return recorder.add_gate(top + layer[-2:], [1, -1, 1, 1, 1], 2, tag="top")
+
+    def legacy(i):
+        raise AssertionError("distinct parameters must stamp")
+
+    orders = ([0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [1, 2, 3, 4, 5, 0])
+    rows = [[x[i] for i in order] for order in orders]
+    stamped = builder.stamper.stamp_all("ladder", 6, rows, emit, legacy)
+    residual = _emit_ladder_rows(builder.add_gate, list(x), scale)
+    builder.set_outputs([int(node) for node in stamped] + residual)
+    return builder.build()
+
+
+#: Sums per ladder layer: the ladder, the two near misses, the repeated
+#: row and the zero-fan-in pair, each one sum.
+_LADDER_ROW_OF = [0] * 7 + [1, 2, 3, 4, 4]
+
+
+class TestSharedSums:
+    @pytest.mark.parametrize("lane", sorted(_LANE_SCALES))
+    @pytest.mark.parametrize(
+        "chunks", ["whole", "stamp-chunks", "run-chunks", "sum-blocks"]
+    )
+    def test_shared_sum_layers_bit_identical(self, monkeypatch, lane, chunks):
+        # Every backend, kept, stripped and loaded, outputs only and kept
+        # nodes, against evaluate_slow on all 64 input columns; one stamp
+        # per chunk, or runs of three columns, cut the batch at boundaries,
+        # and blocks of three wires cut the row comparison inside rows.
+        import repro.circuits.store as store
+        import repro.engine.backends as backends
+
+        circuit = _shared_sum_circuit(_LANE_SCALES[lane])
+        assert build_template_plan(circuit).lane == lane
+        if chunks == "stamp-chunks":
+            monkeypatch.setattr(backends, "_STAMP_CHUNK_BYTES", 1)
+        elif chunks == "run-chunks":
+            column = circuit.n_nodes * np.dtype(lane).itemsize
+            monkeypatch.setattr(backends, "_RUN_BUFFER_BYTES", 3 * column)
+        elif chunks == "sum-blocks":
+            monkeypatch.setattr(store, "_SHARED_SUM_BLOCK", 3)
+        assert_compile_equivalent(
+            circuit, _all_inputs(circuit.n_inputs), require_templates=True
+        )
+
+    @pytest.mark.parametrize("backend", ["sparse", "dense"])
+    def test_adjacent_equal_rows_share_one_sum(self, backend):
+        circuit = _shared_sum_circuit(1)
+        for variant in (circuit, _stripped(circuit)):
+            # One engine per variant: both share one structural hash.
+            program = _engine().compile(variant, backend=backend)
+            layers = [
+                layer
+                for kind, payload in program.segments
+                for layer in (payload[5] if kind == "tpl" else payload)
+            ]
+            shared = [layer for layer in layers if layer[3] is not None]
+            ladders = [layer for layer in shared if len(layer[0]) == 12]
+            # Kept: the template's ladder layer and the residual one;
+            # stripped: one residual layer of three stamps and the hand rows.
+            if variant is circuit:
+                assert len(ladders) == 2
+                for _rows, terms, _thresholds, row_of in ladders:
+                    assert row_of.tolist() == _LADDER_ROW_OF
+                    assert terms[0][1].shape[0] == 5
+            else:
+                (layer,) = [layer for layer in shared if len(layer[0]) == 48]
+                bases = 5 * np.arange(4)[:, None]
+                assert layer[3].tolist() == (bases + _LADDER_ROW_OF).ravel().tolist()
+            for _rows, terms, thresholds, row_of in shared:
+                assert terms[0][1].shape[0] == row_of.max() + 1 < len(thresholds)
+        # repro verify counts the same sums with and without provenance:
+        # per stamp 5 ladder-layer sums, 1 for the second ladder and 1 for
+        # the top gate, and 5 for the hand-emitted layer.
+        from repro.statics import verify_circuit
+
+        kept = verify_circuit(circuit).info["plan_sums"]
+        stripped = verify_circuit(_stripped(circuit), provenance=False).info
+        assert kept == stripped["plan_sums"] == 3 * (5 + 1 + 1) + 5
+
+    @pytest.mark.parametrize("backend", ["sparse", "dense"])
+    def test_naive_sum_template_product_rows(self, backend):
+        # naive n=8's sum template: 50 gates in four layers, of which the
+        # first (28 gates) and third (12) are two ladders each.
+        circuit = build_naive_matmul_circuit(8, bit_width=1, stages=2).circuit
+        program = _engine().compile(circuit, backend=backend)
+        templates = {
+            id(payload[5]): payload[5]
+            for kind, payload in program.segments
+            if kind == "tpl" and payload[4] == 50
+        }
+        (layers,) = templates.values()
+        assert [len(rows) for rows, *_ in layers] == [28, 6, 12, 4]
+        assert [terms[0][1].shape[0] for _rows, terms, *_ in layers] == [2, 6, 2, 4]

@@ -42,6 +42,17 @@ def parity_circuit(n_bits, name="parity"):
     return builder.build()
 
 
+def prefix_or_circuit(n_bits):
+    """One OR gate per input prefix: no two rows are equal, so every gate
+    keeps its own weighted sum and the program's weight arrays grow with
+    the wires (a parity ladder shares one sum per layer)."""
+    builder = CircuitBuilder(name=f"prefix-or{n_bits}")
+    inputs = builder.allocate_inputs(n_bits)
+    gates = [builder.add_gate(inputs[:k], [1] * k, 1) for k in range(1, n_bits + 1)]
+    builder.set_outputs(gates)
+    return builder.build()
+
+
 class _SharedArrayProgram:
     """Module-level (hence picklable) program with two views of one array."""
 
@@ -165,7 +176,7 @@ class TestIntegrity:
         assert not os.path.exists(path)  # rejected artifacts are deleted
 
     def test_tampered_array_file_rejected(self, store):
-        circuit = parity_circuit(40)  # big enough to externalize arrays
+        circuit = prefix_or_circuit(64)  # 2,080 wires: arrays spill to .npy
         key_hash, path = self._single_artifact(store, circuit)
         npy = os.path.join(path, "0.npy")
         assert os.path.isfile(npy)

@@ -6,6 +6,9 @@ to fire), short enough for the regular suite.  ``SOAK_SECONDS`` lengthens
 them without code changes.
 """
 
+import time
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,46 @@ class TestSoakReport:
             workers=2, jobs=0, tasks=0, installs=0, reinstalls=0, worker_restarts=0
         )
         assert set(_MONOTONE_STATS) <= set(stats.as_dict())
+
+
+class _StalledService:
+    """A service whose futures never finish."""
+
+    def __init__(self, config, registry=None):
+        self.jobs = 0
+
+    def submit(self, program, inputs, **kwargs):
+        self.jobs += 1
+        return Future()
+
+    def stats(self):
+        return ServiceStats(
+            workers=2, jobs=self.jobs, tasks=0, installs=0, reinstalls=0,
+            worker_restarts=0,
+        )
+
+    def close(self, wait=True, timeout=None):
+        pass
+
+
+class TestLiveness:
+    def test_stalled_service_reports_within_bound(self, monkeypatch):
+        # Each future's wait ends result_timeout after its own submit, and
+        # the first stalled future stops submissions: the soak returns in
+        # about seconds + result_timeout, not result_timeout per future.
+        import repro.engine.soak as soak
+
+        monkeypatch.setattr(soak, "EvaluationService", _StalledService)
+        seconds, result_timeout = 2.0, 1.0
+        start = time.monotonic()
+        report = run_soak(seconds, result_timeout=result_timeout, max_in_flight=8)
+        elapsed = time.monotonic() - start
+        assert report.jobs_ok == 0 and report.drift == 0
+        assert report.jobs_failed == 8
+        assert report.failures == {"TimeoutError": 8}
+        # Building the families (five compiles and their references) takes
+        # well under the slack; waiting in turn would take 8 s or more.
+        assert elapsed < seconds + result_timeout + 3.0, elapsed
 
 
 class TestShortSoaks:
